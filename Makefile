@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt fmt-fix vet lint lint-audit lint-vet test race race-repr bench bench-all bench-check bench-json bench-ooc-json bench-hybrid-json dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build fmt fmt-fix vet lint lint-audit lint-vet test race race-repr bench bench-all bench-check dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -67,11 +67,11 @@ race-repr:
 race-all:
 	$(GO) test -race ./...
 
-# Short benchmark sweep: the streaming-vs-barrier comparison, the
-# representation trade-off, and the paper-table regenerators, kept brief
+# Short benchmark sweep: the streaming pool on skewed and uniform
+# workloads, the seeders, and the representation trade-off, kept brief
 # for CI.
 bench:
-	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations' -benchtime 5x .
+	$(GO) test -run xxx -bench 'EnumerateStreaming|SeedFromK|Representations' -benchtime 5x .
 
 # The unified benchmark trajectory: kernel microbenchmarks plus the
 # representation / out-of-core / hybrid enumeration scenarios, appended
@@ -88,22 +88,6 @@ bench-all:
 # regressions, prints the reason into the log, and exits zero.
 bench-check:
 	$(GO) run ./cmd/benchall -check -out BENCH_all.json
-
-# DEPRECATED: superseded by bench-all — BENCH_all.json carries the same
-# representation scenarios in the unified trajectory.  Kept one release
-# for dashboards pinned to BENCH_repr.json; will be removed.
-bench-json:
-	$(GO) run ./cmd/benchrepr -out BENCH_repr.json
-
-# DEPRECATED: superseded by bench-all (see bench-json).  Kept one
-# release for dashboards pinned to BENCH_ooc.json; will be removed.
-bench-ooc-json:
-	$(GO) run ./cmd/benchooc -out BENCH_ooc.json
-
-# DEPRECATED: superseded by bench-all (see bench-json).  Kept one
-# release for dashboards pinned to BENCH_hybrid.json; will be removed.
-bench-hybrid-json:
-	$(GO) run ./cmd/benchhybrid -out BENCH_hybrid.json
 
 # Resume-after-kill smoke test: checkpoint, kill by timeout, resume,
 # reconcile clique counts against an uninterrupted run.

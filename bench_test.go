@@ -148,10 +148,10 @@ func BenchmarkBlowupBudgetAbort(b *testing.B) {
 	}
 }
 
-// skewedGraph is the streaming-vs-barrier benchmark workload: a few
+// skewedGraph is the streaming pool's skewed benchmark workload: a few
 // planted modules of very different sizes over sparse background noise,
 // giving the skewed degree distribution (and skewed sub-list costs) on
-// which one static assignment per level straggles.
+// which one static assignment per level would straggle.
 func skewedGraph() *graph.Graph {
 	rng := rand.New(rand.NewSource(41))
 	return graph.PlantedGraph(rng, 500, []graph.PlantedCliqueSpec{
@@ -159,24 +159,21 @@ func skewedGraph() *graph.Graph {
 	}, 1200)
 }
 
-// uniformGraph is the control workload: near-uniform degrees, where the
-// static per-level split is already close to optimal and streaming should
-// merely match it.
+// uniformGraph is the control workload: near-uniform degrees, where a
+// static per-level split is already close to optimal.
 func uniformGraph() *graph.Graph {
 	rng := rand.New(rand.NewSource(42))
 	return graph.RandomGNP(rng, 340, 0.12)
 }
 
-// benchEnumerate runs one parallel backend over g with the Affinity
-// strategy (the paper's) and validates the count against b.N-invariant
-// expectations implicitly via error checks.
-func benchEnumerate(b *testing.B, g *graph.Graph, workers int,
-	enumerate func(graph.Interface, parallel.Options) (*parallel.Result, error)) {
+// benchEnumerate runs the streaming pool over g with the Affinity
+// strategy (the paper's), failing the benchmark on any run error.
+func benchEnumerate(b *testing.B, g *graph.Graph, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enumerate(g, parallel.Options{
+		if _, err := parallel.Enumerate(g, parallel.Options{
 			Workers:  workers,
 			Strategy: parallel.Affinity,
 		}); err != nil {
@@ -185,34 +182,19 @@ func benchEnumerate(b *testing.B, g *graph.Graph, workers int,
 	}
 }
 
-// BenchmarkEnumerateStreamingSkewed / BenchmarkEnumerateBarrierSkewed
-// compare the persistent streaming worker pool against the retained
-// bulk-synchronous (one static assignment + barrier per level)
-// implementation on the skewed workload, at the worker counts the
-// acceptance gate names.
+// BenchmarkEnumerateStreamingSkewed* run the persistent streaming worker
+// pool on the skewed workload at 4 and 8 workers.
 func BenchmarkEnumerateStreamingSkewed4(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 4, parallel.Enumerate)
-}
-
-func BenchmarkEnumerateBarrierSkewed4(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 4, parallel.EnumerateBarrier)
+	benchEnumerate(b, skewedGraph(), 4)
 }
 
 func BenchmarkEnumerateStreamingSkewed8(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 8, parallel.Enumerate)
+	benchEnumerate(b, skewedGraph(), 8)
 }
 
-func BenchmarkEnumerateBarrierSkewed8(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 8, parallel.EnumerateBarrier)
-}
-
-// Uniform control: streaming must at least match the barrier here.
+// Uniform control workload.
 func BenchmarkEnumerateStreamingUniform4(b *testing.B) {
-	benchEnumerate(b, uniformGraph(), 4, parallel.Enumerate)
-}
-
-func BenchmarkEnumerateBarrierUniform4(b *testing.B) {
-	benchEnumerate(b, uniformGraph(), 4, parallel.EnumerateBarrier)
+	benchEnumerate(b, uniformGraph(), 4)
 }
 
 // BenchmarkSeedFromKParallel isolates the Lo >= 3 seed phase that used to

@@ -77,6 +77,36 @@ func TestDistributedFacadeParity(t *testing.T) {
 	}
 }
 
+// TestDistributedFacadeSpillStats: the distributed and out-of-core
+// backends run one level driver, so with the same worker count (and
+// hence the same shard layout) they report the same spill counters —
+// the peak level file included, which distributed runs once left zero.
+func TestDistributedFacadeSpillStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	g := testGraph(5, 90, 0.2)
+	var ost, dst repro.Stats
+	want := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0),
+		repro.WithOutOfCore(t.TempDir(), 0, repro.OOCWorkers(2)), repro.WithStats(&ost)), g)
+	got := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0),
+		repro.WithDistributed(2, t.TempDir()), repro.WithStats(&dst)), g)
+	if len(got) != len(want) {
+		t.Fatalf("distributed delivered %d cliques, out-of-core %d", len(got), len(want))
+	}
+	if dst.PeakLevelFileBytes == 0 {
+		t.Error("distributed run reports no peak level file")
+	}
+	if dst.PeakLevelFileBytes != ost.PeakLevelFileBytes ||
+		dst.SpillBytesWritten != ost.SpillBytesWritten ||
+		dst.SpillRawBytesWritten != ost.SpillRawBytesWritten ||
+		dst.SpillBytesRead != ost.SpillBytesRead {
+		t.Errorf("spill stats differ:\ndistributed peak=%d written=%d raw=%d read=%d\nout-of-core peak=%d written=%d raw=%d read=%d",
+			dst.PeakLevelFileBytes, dst.SpillBytesWritten, dst.SpillRawBytesWritten, dst.SpillBytesRead,
+			ost.PeakLevelFileBytes, ost.SpillBytesWritten, ost.SpillRawBytesWritten, ost.SpillBytesRead)
+	}
+}
+
 // TestDistributedFacadeConfigErrors: the validation matrix reaches the
 // facade — incompatible option combinations are run-time errors, not
 // silent misconfiguration.

@@ -62,7 +62,7 @@ func NewCounter() *Counter { return clique.NewCounter() }
 // retained — this is what a Ctrl-C'd cliquer prints.
 type Stats struct {
 	// Backend names the execution regime that ran: "sequential",
-	// "parallel", "parallel-barrier", "out-of-core",
+	// "parallel", "out-of-core", "distributed",
 	// "hybrid(sequential)" / "hybrid(parallel)" (annotated with
 	// "->out-of-core@k" once a hybrid run spills), or "paraclique" for
 	// Paracliques.
@@ -116,7 +116,7 @@ type Stats struct {
 
 // LevelStats is the per-generation-step view common to every backend.
 // Fields a backend does not measure are zero (e.g. Transfers outside the
-// parallel pool, ResidentBytes in the barrier pool).
+// parallel pool).
 type LevelStats struct {
 	FromK         int   // size of the consumed candidates
 	Sublists      int   // sub-lists consumed (in-core backends)
@@ -183,14 +183,6 @@ func WithWorkers(n int) Option {
 // WithStrategy picks the parallel dispatch policy (default Contiguous).
 func WithStrategy(s Strategy) Option {
 	return func(e *Enumerator) { e.cfg.Strategy = s }
-}
-
-// WithBarrier switches the parallel backend to the bulk-synchronous
-// reference pool — the benchmark baseline.  Emission order within a level
-// follows worker order, so full canonical order is only guaranteed with
-// the Contiguous strategy; cancellation is level-granular.
-func WithBarrier() Option {
-	return func(e *Enumerator) { e.cfg.Barrier = true }
 }
 
 // OutOfCoreOption tunes the out-of-core backend selected by
@@ -437,10 +429,7 @@ func WithOnLevel(fn func(LevelStats)) Option {
 // Run enumerates the maximal cliques of g on the configured backend,
 // delivering each to r (which may be nil to count only) in
 // non-decreasing order of size, canonical order within a size — the same
-// stream from every backend, with one documented exception: the
-// benchmark-only WithBarrier pool under the Affinity strategy guarantees
-// size order but emits worker order within a level.  It returns the
-// number of cliques delivered.  Cancel ctx to abort: Run then returns
+// stream from every backend.  It returns the number of cliques delivered.  Cancel ctx to abort: Run then returns
 // the count so far and an error wrapping ctx.Err(), worker pools shut
 // down cleanly, and spill files are removed.
 func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int64, error) {
@@ -482,7 +471,7 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 		return e.runOutOfCore(cfg, g, r, st, gov)
 	case enumcfg.Distributed:
 		return e.runDistributed(cfg, g, r, st, gov)
-	case enumcfg.Parallel, enumcfg.ParallelBarrier:
+	case enumcfg.Parallel:
 		return e.runParallel(cfg, g, r, st, gov)
 	}
 	return e.runSequential(cfg, g, r, st, gov)
@@ -729,11 +718,7 @@ func (e *Enumerator) runParallel(cfg enumcfg.Config, g GraphInterface, r Reporte
 			})
 		}
 	}
-	enumerate := parallel.Enumerate
-	if cfg.Barrier {
-		enumerate = parallel.EnumerateBarrier
-	}
-	res, err := enumerate(g, opts)
+	res, err := parallel.Enumerate(g, opts)
 	if res == nil {
 		return 0, err
 	}
@@ -746,13 +731,73 @@ func (e *Enumerator) runParallel(cfg enumcfg.Config, g GraphInterface, r Reporte
 	return res.MaximalCliques, err
 }
 
+// diskSink is the facade side of the two backends that stream from disk
+// (out-of-core and distributed).  Both report every maximal clique of
+// size >= 3 with whole-level statistics, so the facade applies the
+// configured lower bound, counts what it delivers, and fills the spill
+// statistics the same way for either.
+type diskSink struct {
+	e       *Enumerator
+	lo      int
+	r       Reporter
+	st      *Stats
+	count   int64
+	maxSize int
+}
+
+func (s *diskSink) Emit(c Clique) {
+	if len(c) < s.lo {
+		return
+	}
+	s.count++
+	s.maxSize = max(s.maxSize, len(c))
+	if s.r != nil {
+		s.r.Emit(c)
+	}
+}
+
+// onLevel translates the backend's level records, or returns nil when
+// nobody observes them.
+func (s *diskSink) onLevel() func(ooc.LevelStats) {
+	if s.st == nil && s.e.onLevel == nil {
+		return nil
+	}
+	return func(ls ooc.LevelStats) {
+		// A step FromK -> FromK+1 reports maximal cliques of size
+		// exactly FromK+1, so the lower-bound filter zeroes whole levels
+		// — keeping sum(Levels[].Maximal) equal to the delivered count,
+		// as on the in-core backends.
+		maximal := ls.Maximal
+		if ls.FromK+1 < s.lo {
+			maximal = 0
+		}
+		s.e.observe(s.st, LevelStats{
+			FromK:         ls.FromK,
+			Cliques:       ls.Cliques,
+			Maximal:       maximal,
+			ResidentBytes: ls.FileBytes + ls.NextBytes,
+		})
+	}
+}
+
+// finish fills the stats sink from the backend's I/O counters and
+// returns the delivered count.
+func (s *diskSink) finish(spill ooc.Stats) int64 {
+	if s.st != nil {
+		s.st.MaximalCliques = s.count
+		s.st.MaxCliqueSize = s.maxSize
+		s.st.SpillBytesWritten = spill.BytesWritten
+		s.st.SpillRawBytesWritten = spill.RawBytesWritten
+		s.st.SpillBytesRead = spill.BytesRead
+		s.st.PeakLevelFileBytes = spill.PeakLevelFile
+		s.st.Resumed = spill.Resumed
+	}
+	return s.count
+}
+
 func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	// Like the out-of-core backend, the coordinator reports every
-	// maximal clique of size >= 3; the facade applies the configured
-	// lower bound and counts what it delivers.
-	var count int64
-	maxSize := 0
-	opts := dist.Options{
+	sink := &diskSink{e: e, lo: cfg.Lo, r: r, st: st}
+	dst, err := dist.Enumerate(g, dist.Options{
 		Ctx:          cfg.Ctx,
 		Dir:          cfg.Dir,
 		Workers:      cfg.DistWorkers,
@@ -762,99 +807,32 @@ func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Repo
 		Compress:     cfg.OOCCompress,
 		ShardBytes:   cfg.DistShardBytes,
 		Gov:          gov,
-		Reporter: ReporterFunc(func(c Clique) {
-			if len(c) < cfg.Lo {
-				return
-			}
-			count++
-			if len(c) > maxSize {
-				maxSize = len(c)
-			}
-			if r != nil {
-				r.Emit(c)
-			}
-		}),
-	}
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls ooc.LevelStats) {
-			// Same whole-level zeroing as runOutOfCore: a step FromK ->
-			// FromK+1 reports cliques of size exactly FromK+1.
-			maximal := ls.Maximal
-			if ls.FromK+1 < cfg.Lo {
-				maximal = 0
-			}
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Cliques:       ls.Cliques,
-				Maximal:       maximal,
-				ResidentBytes: ls.FileBytes + ls.NextBytes,
-			})
-		}
-	}
-	dst, err := dist.Enumerate(g, opts)
+		Reporter:     sink,
+		OnLevel:      sink.onLevel(),
+	})
 	if st != nil {
-		st.MaximalCliques = count
-		st.MaxCliqueSize = maxSize
-		st.SpillBytesWritten = dst.BytesWritten
-		st.SpillRawBytesWritten = dst.RawBytesWritten
-		st.SpillBytesRead = dst.BytesRead
 		st.DistWorkers = dst.Workers
 		st.DistReleases = dst.Releases
 		st.DistWorkerDeaths = dst.WorkerDeaths
 	}
-	return count, err
+	return sink.finish(ooc.Stats{
+		BytesWritten:    dst.BytesWritten,
+		RawBytesWritten: dst.RawBytesWritten,
+		BytesRead:       dst.BytesRead,
+		PeakLevelFile:   dst.PeakLevelFile,
+	}), err
 }
 
 func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
+	sink := &diskSink{e: e, lo: cfg.Lo, r: r, st: st}
 	opts := ooc.OptionsFromConfig(cfg)
 	opts.Gov = gov
-	// The backend reports every maximal clique of size >= 3; the facade
-	// applies the configured lower bound and counts what it delivers.
-	var count int64
-	maxSize := 0
-	opts.Reporter = ReporterFunc(func(c Clique) {
-		if len(c) < cfg.Lo {
-			return
-		}
-		count++
-		if len(c) > maxSize {
-			maxSize = len(c)
-		}
-		if r != nil {
-			r.Emit(c)
-		}
-	})
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls ooc.LevelStats) {
-			// A step FromK -> FromK+1 reports maximal cliques of size
-			// exactly FromK+1, so the facade's lower-bound filter zeroes
-			// whole levels — keeping sum(Levels[].Maximal) equal to the
-			// delivered count, as on the in-core backends.
-			maximal := ls.Maximal
-			if ls.FromK+1 < cfg.Lo {
-				maximal = 0
-			}
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Cliques:       ls.Cliques,
-				Maximal:       maximal,
-				ResidentBytes: ls.FileBytes + ls.NextBytes,
-			})
-		}
-	}
+	opts.Reporter = sink
+	opts.OnLevel = sink.onLevel()
 	enumerate := ooc.Enumerate
 	if cfg.Resume {
 		enumerate = ooc.Resume
 	}
 	ost, err := enumerate(g, opts)
-	if st != nil {
-		st.MaximalCliques = count
-		st.MaxCliqueSize = maxSize
-		st.SpillBytesWritten = ost.BytesWritten
-		st.SpillRawBytesWritten = ost.RawBytesWritten
-		st.SpillBytesRead = ost.BytesRead
-		st.PeakLevelFileBytes = ost.PeakLevelFile
-		st.Resumed = ost.Resumed
-	}
-	return count, err
+	return sink.finish(ost), err
 }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -258,5 +260,76 @@ func TestDistNoGoroutineLeakAfterDeaths(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAbortedLevelLeavesOnlyCheckpoint cancels a run mid-level on both
+// executors under the ooc level driver — the in-process pool of a
+// checkpointing ooc run, and the lease table over loopback workers —
+// and requires the same aftermath from each: the directory holds only
+// the manifest, the shards it names, and (dist) the shipped graph; the
+// governor is back at zero; and no goroutine outlives the run.
+func TestAbortedLevelLeavesOnlyCheckpoint(t *testing.T) {
+	g := testGraph(t)
+	for _, backend := range []string{"ooc", "dist"} {
+		t.Run(backend, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			dir := t.TempDir()
+			gov := membudget.New(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			emitted := 0
+			rep := clique.ReporterFunc(func(clique.Clique) {
+				if emitted++; emitted == 3 {
+					cancel()
+				}
+			})
+			var err error
+			if backend == "ooc" {
+				_, err = ooc.Enumerate(g, ooc.Options{Ctx: ctx, Dir: dir, Workers: 3, ShardBytes: 256,
+					Checkpoint: true, Reporter: rep, Gov: gov})
+			} else {
+				_, err = Enumerate(g, Options{Ctx: ctx, Dir: dir, Workers: 3, ShardBytes: 256,
+					Transport: &LoopbackTransport{}, Reporter: rep, Gov: gov})
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			m, err := ooc.LoadManifest(dir)
+			if err != nil {
+				t.Fatalf("no checkpoint after the cancel: %v", err)
+			}
+			want := map[string]bool{"ooc-manifest.json": true}
+			for _, s := range m.Shards {
+				want[s.Path] = true
+			}
+			if backend == "dist" {
+				want[GraphFileName] = true
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !want[e.Name()] {
+					t.Errorf("leftover after the aborted level: %s", e.Name())
+				}
+				delete(want, e.Name())
+			}
+			for name := range want {
+				t.Errorf("missing from the checkpoint directory: %s", name)
+			}
+			if used := gov.Used(); used != 0 {
+				t.Errorf("governor holds %d bytes after the aborted run", used)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: %d before the run, %d after settling",
+						before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

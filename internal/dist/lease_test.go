@@ -11,7 +11,7 @@ import (
 func testShards(n int) []ooc.ShardMeta {
 	shards := make([]ooc.ShardMeta, n)
 	for i := range shards {
-		shards[i] = ooc.ShardMeta{Path: ooc.ShardFileName(3, "t"), Records: 1, Bytes: 8}
+		shards[i] = ooc.ShardMeta{Path: "l003-t.ooc", Records: 1, Bytes: 8}
 	}
 	return shards
 }

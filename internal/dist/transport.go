@@ -35,9 +35,11 @@ type Transport interface {
 
 // LoopbackTransport runs each worker as an in-process goroutine over
 // io.Pipe pairs — no exec, no sandbox, and the race detector sees both
-// sides.  Used by unit tests; Kill closes the worker's pipes, which the
-// worker experiences as a fatal transport error (the closest loopback
-// analogue of SIGKILL).
+// sides.  Used by unit tests; Kill cancels the worker's context and
+// closes its pipes, which the worker experiences as a fatal transport
+// error (the closest loopback analogue of SIGKILL).  Closing the
+// coordinator's end does the same and then waits for the worker
+// goroutine to exit, the way closing an exec connection reaps the child.
 type LoopbackTransport struct {
 	// Serve runs the worker side over conn; defaults to ServeWorker.
 	Serve func(ctx context.Context, conn Conn) error
@@ -51,18 +53,24 @@ func (t *LoopbackTransport) Dial(ctx context.Context, i int) (Conn, error) {
 	if serve == nil {
 		serve = ServeWorker
 	}
+	wctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
 	c2w := newPipe() // coordinator → worker
 	w2c := newPipe() // worker → coordinator
 	workerConn := NewPipeConn(c2w.r, w2c.w, func() error {
 		return errors.Join(c2w.r.Close(), w2c.w.Close())
 	})
 	coordConn := NewPipeConn(w2c.r, c2w.w, func() error {
-		return errors.Join(c2w.w.Close(), w2c.r.Close())
+		err := errors.Join(c2w.w.Close(), w2c.r.Close())
+		cancel()
+		<-done
+		return err
 	})
 	go func() {
+		defer close(done)
 		// A worker error surfaces to the coordinator as a broken pipe
 		// (plus the error frame ServeWorker sends when it still can).
-		_ = serve(ctx, workerConn)
+		_ = serve(wctx, workerConn)
 		_ = workerConn.Close() //nolint:cleanuperr in-process pipe halves cannot fail to close
 	}()
 	t.mu.Lock()
@@ -70,6 +78,7 @@ func (t *LoopbackTransport) Dial(ctx context.Context, i int) (Conn, error) {
 		t.kills = make(map[int]func())
 	}
 	t.kills[i] = func() {
+		cancel()
 		c2w.r.CloseWithError(io.ErrClosedPipe)
 		w2c.w.CloseWithError(io.ErrClosedPipe)
 	}

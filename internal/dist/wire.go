@@ -1,12 +1,12 @@
 // Package dist distributes the out-of-core enumeration across worker
-// processes.  A coordinator executes one level at a time by leasing the
-// level's shard files to workers; each worker joins its shard with the
-// same ooc.Joiner the single-machine pool uses, writes its output
-// shards into the shared run directory, and reports their metadata
-// back.  Results are released in shard order through sched.Sequencer,
-// so the merged clique stream is byte-identical to a sequential run at
-// any worker count — the same stream-parity law the in-process pool
-// obeys.
+// processes.  The coordinator is an ooc.ShardExecutor: the ooc level
+// driver runs the level loop — edge spill, in-order release, manifest
+// commits, cleanup — and the coordinator joins each level by leasing
+// its shard files to workers.  Each worker runs the same ooc.Joiner the
+// single-machine pool uses, writes its output shards into the shared
+// run directory, and reports their metadata back; the driver releases
+// the results in shard order, so the merged clique stream is
+// byte-identical to a sequential run at any worker count.
 //
 // The first transport is exec/pipe: workers are child processes
 // (cliquer -worker / cliqued -worker) speaking the length-prefixed
@@ -20,9 +20,8 @@
 // idempotent because output shard names embed the shard index and the
 // lease attempt (a superseded attempt's files can never collide with
 // its replacement's), results are accepted at most once per shard, and
-// the level barrier commits the manifest only after every output is
-// durable — the outputs-durable → manifest → delete-inputs ordering
-// from the single-machine checkpoint path.
+// the driver commits the manifest only after every output is durable
+// (DESIGN.md §0c).
 package dist
 
 import (
@@ -74,21 +73,10 @@ type Msg struct {
 	Host         string `json:"host,omitempty"`
 	PID          int    `json:"pid,omitempty"`
 
-	// lease
-	LeaseID    int64         `json:"lease_id,omitempty"`
-	K          int           `json:"k,omitempty"`           // record size of the input shard
-	Shard      ooc.ShardMeta `json:"shard,omitempty"`       // input shard to join
-	ShardIndex int           `json:"shard_index,omitempty"` // position in the level's shard list
-	Attempt    int           `json:"attempt,omitempty"`     // 1-based lease attempt for this shard
-	Target     int64         `json:"target,omitempty"`      // output shard target bytes
-	Collect    bool          `json:"collect,omitempty"`     // buffer maximal emissions in the result
-
-	// result (echoes LeaseID)
-	Out       []ooc.ShardMeta `json:"out,omitempty"` // output shards, in order
-	Maximal   int64           `json:"maximal,omitempty"`
-	EmitVerts []int           `json:"emit_verts,omitempty"` // flat emission arena
-	EmitOff   []int32         `json:"emit_off,omitempty"`   // arena end offsets, one per clique
-	BytesRead int64           `json:"bytes_read,omitempty"`
+	// lease: one shard task; result: its outcome.  Both echo LeaseID.
+	LeaseID int64 `json:"lease_id,omitempty"`
+	ooc.ShardTask
+	ooc.ShardResult
 
 	// error
 	Error string `json:"error,omitempty"`

@@ -15,12 +15,12 @@ func TestWireRoundTrip(t *testing.T) {
 		{Type: MsgInit, Dir: "/tmp/run", GraphPath: GraphFileName, Compress: true,
 			WorkerID: "worker-2", PingMS: 250},
 		{Type: MsgReady, ScratchBytes: 4096, Host: "h", PID: 99},
-		{Type: MsgLease, LeaseID: 7, K: 3,
-			Shard:      ooc.ShardMeta{Path: "l003-c-000001.ooc", Records: 12, Runs: 3, Bytes: 80, RawBytes: 144},
-			ShardIndex: 4, Attempt: 2, Target: 1 << 16, Collect: true},
-		{Type: MsgResult, LeaseID: 7, Maximal: 3,
+		{Type: MsgLease, LeaseID: 7, ShardTask: ooc.ShardTask{K: 3,
+			Shard: ooc.ShardMeta{Path: "l003-000001.ooc", Records: 12, Runs: 3, Bytes: 80, RawBytes: 144},
+			Index: 4, Attempt: 2, Target: 1 << 16, Collect: true}},
+		{Type: MsgResult, LeaseID: 7, ShardResult: ooc.ShardResult{Maximal: 3,
 			Out:       []ooc.ShardMeta{{Path: "l004-s00004-a02-001.ooc", Records: 2, Runs: 1, Bytes: 30, RawBytes: 32}},
-			EmitVerts: []int{0, 1, 2, 4, 5, 6}, EmitOff: []int32{3, 6}, BytesRead: 80},
+			EmitVerts: []int{0, 1, 2, 4, 5, 6}, EmitOff: []int32{3, 6}, BytesRead: 80}},
 		{Type: MsgHeartbeat},
 		{Type: MsgError, LeaseID: 7, Error: "boom"},
 		{Type: MsgShutdown},

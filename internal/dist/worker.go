@@ -131,7 +131,9 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 				// a real crash would — no error frame, no cleanup.
 				os.Exit(3)
 			}
-			res, jerr := joinLease(ctx, join, gov, init, m)
+			// Output names embed the shard index and lease attempt, so a
+			// re-executed lease can never collide with a superseded one.
+			res, jerr := join.Join(ctx, init.Dir, init.Compress, gov, m.ShardTask, nil, nil)
 			if jerr != nil {
 				// A join error is fatal for this worker: report it so
 				// the coordinator can fail fast (a transport break alone
@@ -139,46 +141,13 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 				_ = out.send(&Msg{Type: MsgError, LeaseID: m.LeaseID, Error: jerr.Error()})
 				return fmt.Errorf("dist: worker join: %w", jerr)
 			}
-			if err := out.send(res); err != nil {
+			if err := out.send(&Msg{Type: MsgResult, LeaseID: m.LeaseID, ShardResult: res}); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("dist: worker got unexpected %s frame", m.Type)
 		}
 	}
-}
-
-// joinLease executes one lease: join the input shard, writing output
-// shards whose names embed the shard index and lease attempt — the
-// uniqueness that makes re-execution of an expired lease collision-free
-// by construction.
-func joinLease(ctx context.Context, join *ooc.Joiner, gov *membudget.Governor,
-	init *Msg, m *Msg) (*Msg, error) {
-	seq := 0
-	out := ooc.NewLevelWriter(init.Dir, m.K+1, init.Compress, m.Target, gov,
-		func() (string, error) {
-			seq++
-			return ooc.ShardFileName(m.K+1,
-				fmt.Sprintf("s%05d-a%02d-%03d", m.ShardIndex, m.Attempt, seq)), nil
-		},
-		func(enc, raw int64) error { return nil })
-	st, err := join.JoinShard(ctx, init.Dir, m.Shard, m.K, init.Compress, gov, out, m.Collect)
-	if err != nil {
-		return nil, fmt.Errorf("%w (abort: %v)", err, out.Abort())
-	}
-	metas, err := out.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Msg{
-		Type:      MsgResult,
-		LeaseID:   m.LeaseID,
-		Out:       metas,
-		Maximal:   st.Maximal,
-		EmitVerts: st.EmitVerts,
-		EmitOff:   st.EmitOff,
-		BytesRead: st.BytesRead,
-	}, nil
 }
 
 // claimDeath makes the injected crash one-shot across respawns when

@@ -42,18 +42,6 @@ func TestKeyCanonicalization(t *testing.T) {
 			same: true,
 		},
 		{
-			name: "barrier + contiguous still emits canonical order",
-			a:    Config{Lo: 3},
-			b:    Config{Lo: 3, Workers: 4, Barrier: true, Strategy: Contiguous},
-			same: true,
-		},
-		{
-			name: "barrier + affinity emits worker order: distinct key",
-			a:    Config{Lo: 3},
-			b:    Config{Lo: 3, Workers: 4, Barrier: true, Strategy: Affinity},
-			same: false,
-		},
-		{
 			name: "lower bound is identity",
 			a:    Config{Lo: 3},
 			b:    Config{Lo: 4},
@@ -97,7 +85,6 @@ func TestKeyStableAcrossNormalize(t *testing.T) {
 		{},
 		{Lo: 3, Hi: 9, Workers: 4, Strategy: Affinity},
 		{Lo: 1, ReportSmall: true},
-		{Lo: 3, Workers: 2, Barrier: true, Strategy: Affinity},
 	}
 	for _, c := range cfgs {
 		before := c.Key()
@@ -106,6 +93,24 @@ func TestKeyStableAcrossNormalize(t *testing.T) {
 		}
 		if after := c.Key(); after != before {
 			t.Errorf("key changed across Normalize: %q -> %q", before, after)
+		}
+	}
+}
+
+// TestKeyGolden pins the exact key strings: a key is persisted in the
+// service's result cache, so its spelling must not drift.
+func TestKeyGolden(t *testing.T) {
+	for _, tt := range []struct {
+		c    Config
+		want string
+	}{
+		{Config{}, "v1:lo=2,hi=0"},
+		{Config{Lo: 3, Hi: 9, Workers: 4, Strategy: Affinity}, "v1:lo=3,hi=9"},
+		{Config{Lo: 1, ReportSmall: true}, "v1:lo=1,hi=0,small=1"},
+		{Config{Lo: 4, Dir: "d", OOCCompress: true, DistWorkers: 2}, "v1:lo=4,hi=0"},
+	} {
+		if got := tt.c.Key(); got != tt.want {
+			t.Errorf("Key(%+v) = %q, want %q", tt.c, got, tt.want)
 		}
 	}
 }

@@ -13,26 +13,12 @@ import (
 	"repro/internal/membudget"
 )
 
-// This file is the worker-side face of the out-of-core engine: the
-// pieces a remote (or merely out-of-process) worker needs to join one
-// leased shard exactly the way the single-machine pool does — stream
-// the shard's prefix runs, pairwise-test each run's tails against the
-// prefix common-neighbor bitmap, spill survivors as (k+1)-candidates
-// through a run-aligned LevelWriter, and buffer the maximal dead ends
-// for in-order emission.  internal/dist builds its workers on Joiner +
-// LevelWriter + OpenShard; the local pool in ooc.go uses the same
-// Joiner, so the distributed and single-machine joins cannot drift.
-
-// JoinStats is one shard join's output: the maximal cliques found (a
-// flat vertex arena, no per-clique allocation), and the I/O the join
-// performed.  The output shards are owned by the LevelWriter the caller
-// supplied; Finish it to collect them.
-type JoinStats struct {
-	Maximal   int64
-	EmitVerts []int
-	EmitOff   []int32
-	BytesRead int64
-}
+// This file is the join every executor runs: stream one shard's prefix
+// runs, pairwise-test each run's tails against the prefix
+// common-neighbor bitmap, spill survivors as (k+1)-candidates through a
+// run-aligned levelWriter, and buffer the maximal dead ends for in-order
+// emission.  The local pool (pool.go) and the distributed worker both
+// call Joiner.Join, so the two joins cannot drift.
 
 // Joiner owns the per-worker scratch of the shard join: the two dense
 // common-neighbor bitmaps and the record buffers.  It is not safe for
@@ -62,41 +48,48 @@ func (j *Joiner) ScratchBytes() int64 {
 	return 2 * int64((j.g.N()+63)/64) * 8
 }
 
-// JoinShard streams one input shard of size-k records from dir, joining
-// its prefix runs and writing next-level candidates through out (which
-// the caller owns: Finish it for the output shard list, Abort it on
-// error).  collect buffers maximal-clique emissions in the returned
-// JoinStats; pass false when only counts are wanted.  The read buffer
-// is charged to gov while the shard is open.
-func (j *Joiner) JoinShard(ctx context.Context, dir string, in ShardMeta, k int,
-	compress bool, gov *membudget.Governor, out *LevelWriter, collect bool) (JoinStats, error) {
-	r, err := OpenShard(dir, in, k, j.g.N(), compress, gov)
-	if err != nil {
-		return JoinStats{}, err
+// Join runs one shard task: it streams t.Shard — from data, a
+// prefetched copy of the file, when non-nil, else from dir with its read
+// buffer charged to gov — joins its prefix runs, and writes the
+// (t.K+1)-candidates into dir through a fresh levelWriter whose files
+// are named after the task's shard index and attempt.  onWrite (nil =
+// none) observes the writer's bytes and may stop it.  On error the
+// writer is aborted and its files are left for the driver's cleanup;
+// the result still carries the bytes read.
+func (j *Joiner) Join(ctx context.Context, dir string, compress bool, gov *membudget.Governor,
+	t ShardTask, data []byte, onWrite func(enc, raw int64) error) (ShardResult, error) {
+	if onWrite == nil {
+		onWrite = func(int64, int64) error { return nil }
 	}
-	return j.joinFrom(ctx, r, k, out, collect)
-}
-
-// JoinShardBytes is JoinShard over an in-memory copy of the shard's
-// encoded file — the engine's read-ahead path.  The caller owns data and
-// its governor charge; the join is byte-for-byte the same as the
-// file-backed one, so the output stream cannot depend on which path a
-// shard took.
-func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, k int,
-	compress bool, out *LevelWriter, collect bool) (JoinStats, error) {
-	r, err := OpenShardBytes(data, in, k, j.g.N(), compress)
-	if err != nil {
-		return JoinStats{}, err
+	seq := 0
+	out := newLevelWriter(dir, t.K+1, compress, t.Target, gov, func() string {
+		seq++
+		return shardFileName(t.K+1, fmt.Sprintf("s%05d-a%02d-%03d", t.Index, t.Attempt, seq))
+	}, onWrite)
+	var r *shardReader
+	var err error
+	if data != nil {
+		r, err = openShardBytes(data, t.Shard, t.K, j.g.N(), compress)
+	} else {
+		r, err = openShard(dir, t.Shard, t.K, j.g.N(), compress, gov)
 	}
-	return j.joinFrom(ctx, r, k, out, collect)
+	if err != nil {
+		return ShardResult{}, err
+	}
+	res, err := j.joinFrom(ctx, r, t.K, out, t.Collect)
+	if err != nil {
+		return res, errors.Join(err, out.Abort())
+	}
+	res.Out, err = out.Finish()
+	return res, err
 }
 
 // joinFrom streams the opened shard's prefix runs through joinRun,
 // closing the reader on every path.
 //
 //repro:ctxloop
-func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
-	out *LevelWriter, collect bool) (res JoinStats, err error) {
+func (j *Joiner) joinFrom(ctx context.Context, r *shardReader, k int,
+	out *levelWriter, collect bool) (res ShardResult, err error) {
 	defer func() {
 		res.BytesRead = r.BytesRead()
 		if cerr := r.Close(); cerr != nil {
@@ -143,7 +136,7 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 // are maximal and buffered for in-order emission.  All scratch is
 // joiner-owned — the hot loop allocates only when an emission arena
 // grows.
-func (j *Joiner) joinRun(res *JoinStats, out *LevelWriter,
+func (j *Joiner) joinRun(res *ShardResult, out *levelWriter,
 	k int, prefix, tails []uint32, collect bool) error {
 	g := j.g
 	pi := j.prefixInts[:0]
@@ -225,27 +218,23 @@ func growU32(buf *[]uint32, n int) []uint32 {
 	return *buf
 }
 
-// WriteLevel writes one level's sorted record stream — produced by feed
+// writeLevel writes one level's sorted record stream — produced by feed
 // in canonical order, the run-aligned sharding invariant — into dir as
 // shard files of roughly target encoded bytes.  nextName names each
 // shard file; onWrite observes every encoded/raw byte increment (and
 // may return an error to abort the level, e.g. a spill budget).  On a
 // feed or write error every shard file created so far is removed and
 // the error returned; on success the level's shard list is returned.
-// This is the level-materialization entry the distributed coordinator
-// (and the engine's own spill paths) write through.
-func WriteLevel(dir string, k int, compress bool, target int64,
-	gov *membudget.Governor, nextName func() (string, error),
+func writeLevel(dir string, k int, compress bool, target int64,
+	gov *membudget.Governor, nextName func() string,
 	onWrite func(enc, raw int64) error,
 	feed func(write func(rec []uint32) error) error) ([]ShardMeta, error) {
 	var created []string
-	lw := NewLevelWriter(dir, k, compress, target, gov,
-		func() (string, error) {
-			name, err := nextName()
-			if err == nil {
-				created = append(created, name)
-			}
-			return name, err
+	lw := newLevelWriter(dir, k, compress, target, gov,
+		func() string {
+			name := nextName()
+			created = append(created, name)
+			return name
 		},
 		onWrite)
 	if werr := feed(lw.Write); werr != nil {
@@ -260,11 +249,11 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 	return lw.Finish()
 }
 
-// EdgeFeed adapts a graph's canonical edge stream to WriteLevel's feed
+// edgeFeed adapts a graph's canonical edge stream to writeLevel's feed
 // contract: every edge (u < v) in sorted order, as a 2-record — the
 // level-2 seed of the out-of-core loop.  ctx cancels between batches of
 // 4096 edges.
-func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(rec []uint32) error) error {
+func edgeFeed(ctx context.Context, g graph.Interface) func(write func(rec []uint32) error) error {
 	return func(write func(rec []uint32) error) error {
 		var rec [2]uint32
 		var werr error
@@ -283,37 +272,14 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(rec []uint
 	}
 }
 
-// DefaultShardTarget sizes a level's shards from the consumed level's
+// defaultShardTarget sizes a level's shards from the consumed level's
 // encoded bytes: about eight shards per worker, so the dispatcher (or
 // the distributed lease table) has slack to balance skewed shard costs,
 // clamped so tiny levels are not pulverized and huge ones are not
 // monolithic.
-func DefaultShardTarget(consumedBytes int64, workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	t := consumedBytes / int64(8*workers)
+func defaultShardTarget(consumedBytes int64, workers int) int64 {
+	t := consumedBytes / int64(8*max(workers, 1))
 	const minTarget = 32 << 10
 	const maxTarget = 32 << 20
-	if t < minTarget {
-		t = minTarget
-	}
-	if t > maxTarget {
-		t = maxTarget
-	}
-	return t
-}
-
-// LevelRecords sums the record counts of a level's shard list.
-func LevelRecords(shards []ShardMeta) int64 { return levelRecords(shards) }
-
-// LevelBytes sums a level's encoded and fixed-width-equivalent bytes.
-func LevelBytes(shards []ShardMeta) (enc, raw int64) { return levelBytes(shards) }
-
-// ShardFileName builds the canonical shard file name for level k with a
-// distinguishing tag (the engine uses a global sequence; the
-// distributed coordinator embeds shard index and lease attempt so a
-// superseded worker's output can never collide with its replacement's).
-func ShardFileName(k int, tag string) string {
-	return fmt.Sprintf("l%03d-%s%s", k, tag, shardSuffix)
+	return min(max(t, minTarget), maxTarget)
 }

@@ -192,11 +192,11 @@ func verifyShards(dir string, shards []ShardMeta) error {
 	return nil
 }
 
-// RemoveStaleShards deletes shard files in dir that keep does not list —
-// the partial outputs of an interrupted level, or the orphaned writes of
-// a worker whose lease expired.  Only files matching the engine's naming
-// pattern (the .ooc suffix) are touched.
-func RemoveStaleShards(dir string, keep []ShardMeta) error {
+// removeStaleShards deletes shard files in dir that keep does not list —
+// a consumed level, the partial outputs of an aborted or interrupted
+// level, or the orphaned writes of a revoked lease.  Only files with the
+// shard suffix (.ooc) are touched; subdirectories are skipped.
+func removeStaleShards(dir string, keep []ShardMeta) error {
 	listed := make(map[string]bool, len(keep))
 	for _, s := range keep {
 		listed[s.Path] = true

@@ -50,7 +50,8 @@ func levelRecords(shards []ShardMeta) int64 {
 	return t
 }
 
-func levelBytes(shards []ShardMeta) (enc, raw int64) {
+// LevelBytes sums a level's encoded and fixed-width-equivalent bytes.
+func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	for _, s := range shards {
 		enc += s.Bytes
 		raw += s.RawBytes
@@ -58,19 +59,18 @@ func levelBytes(shards []ShardMeta) (enc, raw int64) {
 	return
 }
 
-// LevelWriter writes one level's sorted record stream, splitting it into
+// levelWriter writes one level's sorted record stream, splitting it into
 // run-aligned shard files of roughly target encoded bytes.  newShard
-// names each file (and lets the engine register it for failure
-// cleanup); onWrite observes every encoded/raw byte increment as it
+// names each file; onWrite observes every encoded/raw byte increment as it
 // happens — the accounting hook that keeps Stats.BytesWritten truthful
 // even when the level aborts mid-shard — and may return an error (the
 // spill-budget abort) to stop the writer.
-type LevelWriter struct {
+type levelWriter struct {
 	dir      string
 	k        int
 	target   int64
 	enc      *recordEncoder
-	newShard func() (string, error)
+	newShard func() string
 	onWrite  func(encBytes, rawBytes int64) error
 	gov      *membudget.Governor // charged with the in-flight I/O buffer
 
@@ -83,13 +83,13 @@ type LevelWriter struct {
 	count   int64 // records written this level
 }
 
-func NewLevelWriter(dir string, k int, compress bool, target int64,
+func newLevelWriter(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor,
-	newShard func() (string, error), onWrite func(enc, raw int64) error) *LevelWriter {
+	newShard func() string, onWrite func(enc, raw int64) error) *levelWriter {
 	if target < 1 {
 		target = 1
 	}
-	return &LevelWriter{
+	return &levelWriter{
 		dir:      dir,
 		k:        k,
 		target:   target,
@@ -102,7 +102,7 @@ func NewLevelWriter(dir string, k int, compress bool, target int64,
 }
 
 // write appends one record (sorted order is the caller's invariant).
-func (w *LevelWriter) Write(rec []uint32) error {
+func (w *levelWriter) Write(rec []uint32) error {
 	newRun := w.count == 0 || lcp(w.prev, rec) < w.k-1
 	if w.f != nil && newRun && w.cur.Bytes >= w.target {
 		if err := w.closeShard(); err != nil {
@@ -110,7 +110,7 @@ func (w *LevelWriter) Write(rec []uint32) error {
 		}
 	}
 	if w.f == nil {
-		if err := w.openShard(); err != nil {
+		if err := w.startShard(); err != nil {
 			return err
 		}
 	}
@@ -129,11 +129,8 @@ func (w *LevelWriter) Write(rec []uint32) error {
 	return w.onWrite(int64(len(buf)), int64(4*len(rec)))
 }
 
-func (w *LevelWriter) openShard() error {
-	name, err := w.newShard()
-	if err != nil {
-		return err
-	}
+func (w *levelWriter) startShard() error {
+	name := w.newShard()
 	f, err := os.Create(filepath.Join(w.dir, name))
 	if err != nil {
 		return fmt.Errorf("ooc: create shard: %w", err)
@@ -153,7 +150,7 @@ func (w *LevelWriter) openShard() error {
 	return w.onWrite(int64(len(hdr)), 0)
 }
 
-func (w *LevelWriter) closeShard() error {
+func (w *levelWriter) closeShard() error {
 	if w.f == nil {
 		return nil
 	}
@@ -172,7 +169,7 @@ func (w *LevelWriter) closeShard() error {
 }
 
 // finish closes the current shard and returns the level's shard list.
-func (w *LevelWriter) Finish() ([]ShardMeta, error) {
+func (w *levelWriter) Finish() ([]ShardMeta, error) {
 	if err := w.closeShard(); err != nil {
 		return nil, err
 	}
@@ -181,11 +178,11 @@ func (w *LevelWriter) Finish() ([]ShardMeta, error) {
 
 // abort flushes what the current shard buffered (so the on-disk state
 // matches the byte accounting already reported through onWrite) and
-// closes it.  The files themselves are removed by the engine's
+// closes it.  The files themselves are removed by the driver's
 // level-failure cleanup; abort only guarantees no descriptor leaks and
 // surfaces — rather than swallows — close errors, annotated with the
 // abort context.
-func (w *LevelWriter) Abort() error {
+func (w *levelWriter) Abort() error {
 	if w.f == nil {
 		return nil
 	}
@@ -213,10 +210,10 @@ func shardHeader(k int, compress bool) []byte {
 	return append(hdr, flags, byte(k))
 }
 
-// ShardReader streams one shard file's records, counting consumed bytes
+// shardReader streams one shard file's records, counting consumed bytes
 // and enforcing the record count recorded at write time, so truncation
 // and trailing garbage both surface as errors.
-type ShardReader struct {
+type shardReader struct {
 	f       *os.File
 	cr      *countingReader
 	br      *bufio.Reader
@@ -228,7 +225,7 @@ type ShardReader struct {
 	bufSize int64
 }
 
-func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
+func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*shardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
@@ -246,11 +243,11 @@ func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudg
 	return r, nil
 }
 
-// OpenShardBytes reads a shard from an in-memory copy of its encoded
+// openShardBytes reads a shard from an in-memory copy of its encoded
 // file — the read-ahead path, where a prefetch goroutine has already
 // pulled the bytes off disk.  The caller owns data (and its governor
 // charge); Close closes no file and releases nothing.
-func OpenShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
+func openShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*shardReader, error) {
 	cr := &countingReader{r: bytes.NewReader(data)}
 	// A small relay buffer: decode pulls bytes one at a time, and the
 	// data already lives in memory, so a big window would only copy it
@@ -261,7 +258,7 @@ func OpenShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*Shar
 // newShardReader validates the shard preamble on br and assembles the
 // reader; the caller attaches the file handle and governor charge (if
 // any) on success.
-func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
+func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n int, compress bool) (*shardReader, error) {
 	hdr := make([]byte, shardHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, corrupt("%s: short header: %v", meta.Path, err)
@@ -279,7 +276,7 @@ func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n i
 	if int(hdr[6]) != k {
 		return nil, corrupt("%s: clique size %d, level expects %d", meta.Path, hdr[6], k)
 	}
-	return &ShardReader{
+	return &shardReader{
 		cr: cr, br: br,
 		dec:  newRecordDecoder(k, n, compress),
 		meta: meta, k: k,
@@ -288,7 +285,7 @@ func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n i
 
 // next reads one record into rec (len k), reporting io.EOF after exactly
 // meta.Records records.
-func (r *ShardReader) Next(rec []uint32) error {
+func (r *shardReader) Next(rec []uint32) error {
 	if r.records == r.meta.Records {
 		// The write-time count is exhausted: the file must end here.
 		if _, err := r.br.ReadByte(); err != io.EOF {
@@ -309,9 +306,9 @@ func (r *ShardReader) Next(rec []uint32) error {
 
 // bytesRead returns the encoded bytes pulled from the file so far
 // (buffered read-ahead included: it is real I/O).
-func (r *ShardReader) BytesRead() int64 { return r.cr.n }
+func (r *shardReader) BytesRead() int64 { return r.cr.n }
 
-func (r *ShardReader) Close() error {
+func (r *shardReader) Close() error {
 	r.gov.Release(r.bufSize)
 	r.bufSize = 0
 	if r.f == nil {

@@ -40,11 +40,6 @@
 // the same trip-and-drain machinery is what the hybrid backend uses,
 // through Pool.RunLevel, to switch a live run out-of-core instead of
 // aborting it.
-//
-// EnumerateBarrier retains the previous bulk-synchronous implementation
-// (goroutines respawned per level, one static assignment per level,
-// emissions buffered until the barrier) as the reference baseline for
-// benchmarks.
 package parallel
 
 import (
@@ -105,11 +100,9 @@ type Options struct {
 	// the run charges; when nil, a private one is derived from
 	// MemoryBudget.
 	Gov *membudget.Governor
-	// Reporter receives maximal cliques.  Enumerate delivers full
-	// canonical order (non-decreasing size; lexicographic within a
-	// size) with either strategy; EnumerateBarrier guarantees canonical
-	// order only with Contiguous, and size order with Affinity.  May be
-	// nil.
+	// Reporter receives maximal cliques in full canonical order
+	// (non-decreasing size; lexicographic within a size) with either
+	// strategy.  May be nil.
 	Reporter clique.Reporter
 	// OnLevel observes per-level scheduling statistics.
 	OnLevel func(LevelStats)
@@ -236,7 +229,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 }
 
 // checkOptions validates opts, applies defaults, and resolves the bitmap
-// mode.  Shared by Enumerate and EnumerateBarrier.
+// mode.
 func checkOptions(opts *Options) (core.CNMode, error) {
 	if opts.Workers < 1 {
 		return 0, fmt.Errorf("parallel: %d workers", opts.Workers)

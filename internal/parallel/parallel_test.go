@@ -211,45 +211,63 @@ func TestAffinityTransfersHappenUnderSkew(t *testing.T) {
 	t.Error("no transfers on a skewed workload in 5 attempts")
 }
 
-// TestBarrierAffinityActsFromLevelOne is the regression test for the
+// TestSeedAssignsCreatorOwnership is the regression test for the
 // seed-ownership bug: seeding used to leave sub-list ownership unset, so
 // the Affinity strategy silently ran a contiguous split on the first
 // generation level (transfers were impossible there by construction).
-// With creator ownership assigned at seed time, the barrier backend's
-// level-one assignment starts from the seeding thread's queue and the
-// threshold balancer must move work — deterministically, because the
-// barrier's transfer decision is pure arithmetic.
-func TestBarrierAffinityActsFromLevelOne(t *testing.T) {
+// Both parallel seeders must record a creator worker for every seed
+// sub-list, and an Affinity dispatcher built on one seeding thread's
+// homes — every sub-list owned by worker 0 — must move work to the idle
+// workers on their very first pulls.  The dispatcher's transfer decision
+// is pure arithmetic, so the test is deterministic.
+func TestSeedAssignsCreatorOwnership(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	g := graph.PlantedGraph(rng, 80, []graph.PlantedCliqueSpec{{Size: 12}}, 60)
-	var first *LevelStats
-	res, err := EnumerateBarrier(g, Options{
-		Workers:  4,
-		Strategy: Affinity,
-		Policy:   sched.Policy{RelTolerance: 0.05},
-		OnLevel: func(st LevelStats) {
-			if first == nil {
-				first = &st
+	words := int64((g.N() + 63) / 64)
+	seed := func(lo, workers int) (*core.Level, []int32) {
+		if lo == 2 {
+			return core.SeedFromEdgesParallel(g, core.CNStore, workers)
+		}
+		lvl, homes, _, err := core.SeedFromKParallel(g, lo, core.CNStore, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lvl, homes
+	}
+	for _, lo := range []int{2, 4} {
+		for _, workers := range []int{1, 4} {
+			lvl, homes := seed(lo, workers)
+			if len(lvl.Sub) == 0 || len(homes) != len(lvl.Sub) {
+				t.Fatalf("lo=%d workers=%d: %d homes for %d seed sub-lists", lo, workers, len(homes), len(lvl.Sub))
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == nil {
-		t.Fatal("no levels ran")
-	}
-	if first.Transfers == 0 {
-		t.Errorf("level %d->%d: no transfers — Affinity not in effect from level one", first.FromK, first.FromK+1)
-	}
-	want := sequentialCliques(t, g, 2, 0)
-	if res.MaximalCliques != int64(len(want)) {
-		t.Errorf("count %d, want %d", res.MaximalCliques, len(want))
+			for i, h := range homes {
+				if h < 0 || int(h) >= workers || (workers == 1 && h != 0) {
+					t.Fatalf("lo=%d workers=%d: sub-list %d homed on worker %d", lo, workers, i, h)
+				}
+			}
+		}
+		lvl, homes := seed(lo, 1)
+		loads := make([]int64, len(lvl.Sub))
+		for i, s := range lvl.Sub {
+			loads[i] = estimateLoad(s, words)
+		}
+		const poolWorkers = 4
+		disp := sched.NewAffinityDispatcher(loads, homes, poolWorkers,
+			sched.Policy{RelTolerance: 0.05}, sched.ChunkGrain(loads, poolWorkers, 0))
+		for w := 1; w < poolWorkers; w++ {
+			if c, ok := disp.Next(w); !ok || !c.Stolen {
+				t.Fatalf("lo=%d: idle worker %d's first pull (ok=%v) is no transfer — Affinity not in effect from level one",
+					lo, w, ok)
+			}
+		}
+		if disp.Transfers() == 0 {
+			t.Errorf("lo=%d: dispatcher counted no transfers", lo)
+		}
 	}
 }
 
-// TestStrategyParity: both dispatch strategies, on both backends, must
-// count exactly the same maximal cliques across a spread of seeds.
+// TestStrategyParity: both dispatch strategies must count exactly the
+// same maximal cliques across a spread of seeds.
 func TestStrategyParity(t *testing.T) {
 	for seed := int64(100); seed < 108; seed++ {
 		g := testGraph(seed)
@@ -262,11 +280,6 @@ func TestStrategyParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				counts["streaming/"+name] = res.MaximalCliques
-				bres, err := EnumerateBarrier(g, Options{Workers: workers, Strategy: strategy})
-				if err != nil {
-					t.Fatal(err)
-				}
-				counts["barrier/"+name] = bres.MaximalCliques
 			}
 			for name, got := range counts {
 				if got != want {
@@ -305,20 +318,6 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestBarrierMatchesSequential(t *testing.T) {
-	g := testGraph(72)
-	want := sequentialCliques(t, g, 2, 0)
-	for _, strategy := range []Strategy{Contiguous, Affinity} {
-		col := &clique.Collector{}
-		if _, err := EnumerateBarrier(g, Options{Workers: 4, Strategy: strategy, Reporter: col}); err != nil {
-			t.Fatal(err)
-		}
-		if ok, diff := clique.SameSets(col.Cliques, want); !ok {
-			t.Fatalf("strategy %d: %s", strategy, diff)
-		}
-	}
-}
-
 func TestChunksPerWorkerOption(t *testing.T) {
 	g := testGraph(73)
 	want := sequentialCliques(t, g, 2, 0)
@@ -329,22 +328,6 @@ func TestChunksPerWorkerOption(t *testing.T) {
 		}
 		if res.MaximalCliques != int64(len(want)) {
 			t.Errorf("ChunksPerWorker=%d: count %d, want %d", cpw, res.MaximalCliques, len(want))
-		}
-	}
-}
-
-func TestSeededBarrierMatchesSequential(t *testing.T) {
-	g := testGraph(74)
-	for _, initK := range []int{4, 6} {
-		want := sequentialCliques(t, g, initK, 0)
-		col := &clique.Collector{}
-		if _, err := EnumerateBarrier(g, Options{
-			Workers: 3, Lo: initK, Strategy: Affinity, Reporter: col,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if ok, diff := clique.SameSets(col.Cliques, want); !ok {
-			t.Fatalf("Init_K=%d: %s", initK, diff)
 		}
 	}
 }

@@ -74,9 +74,9 @@ func sameCliqueStreams(a, b []repro.Clique) bool {
 }
 
 // TestRepresentationBackendParity is the ≥6-configuration parity gate:
-// 3 representations × 3 execution backends (plus the barrier pool and a
-// CN-mode variation below), each against the dense sequential baseline,
-// over randomized graphs.
+// 3 representations × 3 execution backends (plus a CN-mode variation
+// below), each against the dense sequential baseline, over randomized
+// graphs.
 func TestRepresentationBackendParity(t *testing.T) {
 	reps := []repro.Representation{repro.Dense, repro.CSR, repro.Compressed}
 	for seed := int64(1); seed <= 3; seed++ {
