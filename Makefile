@@ -56,9 +56,10 @@ test:
 # package joins level shards on a worker pool with an in-order release
 # sequencer, so it races level state across goroutines too.  The dist
 # package races the lease table, the sequencer release path, and the
-# coordinator's dispatcher/pump goroutines.
+# coordinator's dispatcher/pump goroutines.  The microarray package
+# splits its correlation pair loop across workers.
 race:
-	$(GO) test -race ./internal/parallel ./internal/sched ./internal/core ./internal/kclique ./internal/bitset ./internal/ooc ./internal/hybrid ./internal/membudget ./internal/service ./internal/dist
+	$(GO) test -race ./internal/parallel ./internal/sched ./internal/core ./internal/kclique ./internal/bitset ./internal/ooc ./internal/hybrid ./internal/membudget ./internal/service ./internal/dist ./internal/microarray
 	$(GO) test -race -run 'Governor' .
 
 race-repr:
@@ -68,10 +69,11 @@ race-all:
 	$(GO) test -race ./...
 
 # Short benchmark sweep: the streaming pool on skewed and uniform
-# workloads, the seeders, and the representation trade-off, kept brief
-# for CI.
+# workloads, the seeders, the representation trade-off, and the
+# correlation front end at the coexpr size, kept brief for CI.
 bench:
 	$(GO) test -run xxx -bench 'EnumerateStreaming|SeedFromK|Representations' -benchtime 5x .
+	$(GO) test -run xxx -bench 'CorrelationThreshold|CorrelationGraph' -benchtime 3x ./internal/microarray
 
 # The unified benchmark trajectory: kernel microbenchmarks plus the
 # representation / out-of-core / hybrid enumeration scenarios, appended

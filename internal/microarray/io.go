@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,7 +46,9 @@ func WriteTSV(w io.Writer, m *Matrix) error {
 }
 
 // ReadTSV parses the layout written by WriteTSV.  All rows must have the
-// same number of value columns; the header row is required.
+// same number of value columns; the header row is required.  Every value
+// must be a finite number: NaN and ±Inf are rejected, since the rank and
+// correlation kernels have no meaning for them.
 func ReadTSV(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -78,6 +81,9 @@ func ReadTSV(r io.Reader) (*Matrix, error) {
 		row := make([]float64, conditions)
 		for i, f := range fields[1:] {
 			v, err := strconv.ParseFloat(f, 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite value %q", f)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("microarray: line %d column %d: %v", line, i+2, err)
 			}

@@ -94,3 +94,46 @@ func TestWriteTSVPropagatesErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestReadTSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		input := "gene\tcond_1\tcond_2\na\t1\t2\nb\t3\t" + v + "\n"
+		_, err := ReadTSV(strings.NewReader(input))
+		if err == nil {
+			t.Errorf("%s: accepted", v)
+		} else if !strings.Contains(err.Error(), "line 3 column 3") {
+			t.Errorf("%s: error %q does not name line 3 column 3", v, err)
+		}
+	}
+}
+
+// FuzzReadTSV: ReadTSV never panics, and whatever it accepts survives a
+// WriteTSV/ReadTSV round trip with its shape and values intact.
+func FuzzReadTSV(f *testing.F) {
+	f.Add([]byte("gene\tcond_1\tcond_2\na\t1.5\t-2\nb\t0\t3e-7\n"))
+	f.Add([]byte("gene\tcond_1\n\na\tNaN\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadTSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTSV(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTSV(&buf)
+		if err != nil {
+			t.Fatalf("re-read of written matrix: %v", err)
+		}
+		if again.Genes != m.Genes || again.Conditions != m.Conditions {
+			t.Fatalf("shape %dx%d, re-read %dx%d", m.Genes, m.Conditions, again.Genes, again.Conditions)
+		}
+		for g := range m.Data {
+			for c, v := range m.Data[g] {
+				if again.Data[g][c] != v {
+					t.Fatalf("data[%d][%d] = %v, re-read %v", g, c, v, again.Data[g][c])
+				}
+			}
+		}
+	})
+}

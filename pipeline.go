@@ -78,7 +78,8 @@ func CorrelationGraphRep(m *ExpressionMatrix, method CorrelationMethod, threshol
 
 // CorrelationThreshold returns the smallest threshold producing at most
 // maxEdges edges — how the paper picks thresholds targeting a graph
-// density.
+// density.  It is the next float64 above the (maxEdges+1)-th largest
+// |r|, so pairs tied at the cut are all left out.
 func CorrelationThreshold(m *ExpressionMatrix, method CorrelationMethod, maxEdges int) float64 {
 	return microarray.ThresholdForEdgeCount(m, method, maxEdges)
 }
