@@ -60,7 +60,7 @@ test:
 # splits its correlation pair loop across workers.
 race:
 	$(GO) test -race ./internal/parallel ./internal/sched ./internal/core ./internal/kclique ./internal/bitset ./internal/ooc ./internal/hybrid ./internal/membudget ./internal/service ./internal/dist ./internal/microarray
-	$(GO) test -race -run 'Governor' .
+	$(GO) test -race -run 'Governor|MemoryBudget|Hybrid' .
 
 race-repr:
 	$(GO) test -race -run 'Representation' .

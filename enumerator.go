@@ -315,8 +315,8 @@ func WithDistributed(workers int, dir string, knobs ...DistOption) Option {
 // WithMemoryBudget sets the run's memory governor budget: the bound on
 // everything the run declares resident — the graph representation's
 // adjacency bytes, the paper-formula candidate storage, worker scratch,
-// and spill I/O buffers.  On the in-core backends (sequential, parallel,
-// barrier) exceeding it aborts with core.ErrMemoryBudget — the
+// and spill I/O buffers.  On the in-core backends (sequential, parallel)
+// exceeding it aborts with core.ErrMemoryBudget — the
 // in-library analogue of the paper's graph-B blow-up termination.
 // Combined with a spill directory (WithOutOfCore or WithSpillover) it
 // instead selects the hybrid backend, which transparently continues the
@@ -429,9 +429,10 @@ func WithOnLevel(fn func(LevelStats)) Option {
 // Run enumerates the maximal cliques of g on the configured backend,
 // delivering each to r (which may be nil to count only) in
 // non-decreasing order of size, canonical order within a size — the same
-// stream from every backend.  It returns the number of cliques delivered.  Cancel ctx to abort: Run then returns
-// the count so far and an error wrapping ctx.Err(), worker pools shut
-// down cleanly, and spill files are removed.
+// stream from every backend.  It returns the number of cliques
+// delivered.  Cancel ctx to abort: Run then returns the count so far and
+// an error wrapping ctx.Err(), worker pools shut down cleanly, and spill
+// files are removed.
 func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int64, error) {
 	cfg, err := e.runConfig(ctx)
 	if err != nil {
@@ -471,10 +472,8 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 		return e.runOutOfCore(cfg, g, r, st, gov)
 	case enumcfg.Distributed:
 		return e.runDistributed(cfg, g, r, st, gov)
-	case enumcfg.Parallel:
-		return e.runParallel(cfg, g, r, st, gov)
 	}
-	return e.runSequential(cfg, g, r, st, gov)
+	return e.runInCore(cfg, g, r, st, gov)
 }
 
 // Cliques returns a range-over-func iterator over the maximal cliques of
@@ -644,28 +643,42 @@ func (e *Enumerator) observe(st *Stats, ls LevelStats) {
 	}
 }
 
-func (e *Enumerator) runSequential(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	opts := core.OptionsFromConfig(cfg)
-	opts.Reporter = r
-	opts.Gov = gov
+// runInCore runs the sequential or the parallel backend: both are the
+// in-core level driver (core.Drive), so one level translation serves
+// them.
+func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
+	var onLevel func(core.LevelStats)
 	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls core.LevelStats) {
+		onLevel = func(ls core.LevelStats) {
 			e.observe(st, LevelStats{
 				FromK:         ls.FromK,
 				Sublists:      ls.Sublists,
 				Cliques:       ls.Cliques,
 				Maximal:       ls.Maximal,
 				ResidentBytes: ls.Bytes + ls.NextBytes,
+				Transfers:     ls.Transfers,
 			})
 		}
 	}
-	res, err := core.Enumerate(g, opts)
+	var res *core.Result
+	var err error
+	if cfg.Backend() == enumcfg.Parallel {
+		opts := parallel.OptionsFromConfig(cfg)
+		opts.Reporter, opts.Gov, opts.OnLevel = r, gov, onLevel
+		res, err = parallel.Enumerate(g, opts)
+	} else {
+		opts := core.OptionsFromConfig(cfg)
+		opts.Reporter, opts.Gov, opts.OnLevel = r, gov, onLevel
+		res, err = core.Enumerate(g, opts)
+	}
 	if res == nil {
 		return 0, err
 	}
 	if st != nil {
 		st.MaximalCliques = res.MaximalCliques
 		st.MaxCliqueSize = res.MaxCliqueSize
+		st.WorkerBusy = res.WorkerBusy
+		st.Transfers = res.Transfers
 	}
 	return res.MaximalCliques, err
 }
@@ -700,33 +713,6 @@ func (e *Enumerator) runHybrid(cfg enumcfg.Config, g GraphInterface, r Reporter,
 		if res.SpilledAtLevel > 0 {
 			st.Backend = fmt.Sprintf("hybrid(%s->out-of-core@%d)", hybridMode(cfg), res.SpilledAtLevel)
 		}
-	}
-	return res.MaximalCliques, err
-}
-
-func (e *Enumerator) runParallel(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	opts := parallel.OptionsFromConfig(cfg)
-	opts.Reporter = r
-	opts.Gov = gov
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls parallel.LevelStats) {
-			e.observe(st, LevelStats{
-				FromK:     ls.FromK,
-				Sublists:  ls.Sublists,
-				Maximal:   ls.Maximal,
-				Transfers: ls.Transfers,
-			})
-		}
-	}
-	res, err := parallel.Enumerate(g, opts)
-	if res == nil {
-		return 0, err
-	}
-	if st != nil {
-		st.MaximalCliques = res.MaximalCliques
-		st.MaxCliqueSize = res.MaxCliqueSize
-		st.WorkerBusy = res.WorkerBusy
-		st.Transfers = res.Transfers
 	}
 	return res.MaximalCliques, err
 }

@@ -395,6 +395,52 @@ func TestOnLevelObserver(t *testing.T) {
 	}
 }
 
+// TestInCoreLevelStatsAgreeAcrossBackends: every in-core backend runs
+// the one level driver, so the per-level record is the same on each —
+// in particular the parallel pool reports the consumed candidates and
+// the resident bytes instead of zeros.  The hybrid budget never trips.
+func TestInCoreLevelStatsAgreeAcrossBackends(t *testing.T) {
+	g := testGraph(6, 60, 0.15)
+	levels := func(opts ...repro.Option) []repro.LevelStats {
+		t.Helper()
+		var out []repro.LevelStats
+		opts = append(opts, repro.WithOnLevel(func(ls repro.LevelStats) { out = append(out, ls) }))
+		if _, err := repro.NewEnumerator(opts...).Run(context.Background(), g, nil); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, lo := range []int{2, 3} {
+		want := levels(repro.WithBounds(lo, 0))
+		if len(want) < 2 || want[0].Cliques == 0 || want[0].ResidentBytes == 0 {
+			t.Fatalf("lo=%d: sequential levels too thin to compare: %+v", lo, want)
+		}
+		for _, b := range []struct {
+			name string
+			opts []repro.Option
+		}{
+			{"parallel-2-contiguous", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
+			{"parallel-2-affinity", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Affinity)}},
+			{"parallel-3-contiguous", []repro.Option{repro.WithWorkers(3), repro.WithStrategy(repro.Contiguous)}},
+			{"parallel-3-affinity", []repro.Option{repro.WithWorkers(3), repro.WithStrategy(repro.Affinity)}},
+			{"hybrid", []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 40)}},
+			{"hybrid-3", []repro.Option{repro.WithWorkers(3), repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 40)}},
+		} {
+			got := levels(append(b.opts, repro.WithBounds(lo, 0))...)
+			if len(got) != len(want) {
+				t.Fatalf("lo=%d %s: %d levels, sequential %d", lo, b.name, len(got), len(want))
+			}
+			for i, w := range want {
+				gl := got[i]
+				if gl.FromK != w.FromK || gl.Sublists != w.Sublists || gl.Cliques != w.Cliques ||
+					gl.Maximal != w.Maximal || gl.ResidentBytes != w.ResidentBytes {
+					t.Errorf("lo=%d %s level %d: %+v, sequential %+v", lo, b.name, i, gl, w)
+				}
+			}
+		}
+	}
+}
+
 // TestOOCLevelMaximalRespectsLowerBound: with a lower bound above 3, the
 // out-of-core backend's per-level Maximal must count only delivered
 // cliques, so the level sum equals the run count (as in-core).

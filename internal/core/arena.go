@@ -10,8 +10,8 @@ package core
 //   - Every allocation made while generating level k+1 belongs to one
 //     generation.  The produced level is read while level k+2 is
 //     generated, and is dead before level k+3 starts.
-//   - Every Builder driver (sequential Step, the streaming and barrier
-//     worker pools, hybrid, simarch) calls Reset exactly once per level,
+//   - Every Builder driver (the sequential runner, the streaming pool's
+//     workers, the hybrid drain, simarch) calls Reset exactly once per level,
 //     so Reset is the generation boundary: blocks that served the level
 //     before last are provably dead and join the free list.
 //

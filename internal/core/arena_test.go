@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,14 +21,20 @@ func arenaTestGraph() *graph.Graph {
 	return g
 }
 
+// step joins one level on the sequential runner over b.
+func step(b *Builder, lvl *Level) *Level {
+	r := SequentialRunner{b: b}
+	return r.RunLevel(context.Background(), lvl, nil, nil, nil).Next
+}
+
 // runLevels drives the sequential level loop from the given seed to
 // exhaustion on one builder and reports how many sub-lists were retained
 // across all levels.  The seed level is read-only in recompute mode, so
 // callers may reuse it across runs.
-func runLevels(g *graph.Graph, seed *Level, b *Builder) (retained int) {
+func runLevels(seed *Level, b *Builder) (retained int) {
 	lvl := seed
 	for len(lvl.Sub) > 0 {
-		next, _ := Step(g, lvl, nil, b)
+		next := step(b, lvl)
 		retained += len(next.Sub)
 		lvl = next
 	}
@@ -44,15 +51,15 @@ func TestLevelLoopAllocs(t *testing.T) {
 	seed := SeedFromEdgesMode(g, CNRecompute)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 
-	retained := runLevels(g, seed, b) // warm the arenas and scratch
+	retained := runLevels(seed, b) // warm the arenas and scratch
 	if retained < 200 {
 		t.Fatalf("only %d sub-lists retained; graph too easy to pin allocations", retained)
 	}
 
 	allocs := testing.AllocsPerRun(5, func() {
-		runLevels(g, seed, b)
+		runLevels(seed, b)
 	})
-	// One *Level per Step plus slack for a rare block-schedule step; the
+	// One *Level per level step plus slack for a rare block-schedule step; the
 	// pre-arena implementation allocated 3x per retained sub-list
 	// (hundreds per run).
 	if allocs > 32 {
@@ -78,8 +85,9 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 		lvl := seed
 		gov.Charge(lvl.Bytes(g.N()))
 		for len(lvl.Sub) > 0 {
-			next, st := Step(g, lvl, nil, b)
-			gov.Release(st.Bytes)
+			consumed := lvl.Bytes(g.N())
+			next := step(b, lvl)
+			gov.Release(consumed)
 			lvl = next
 		}
 		gov.Release(lvl.Bytes(g.N()))
@@ -128,7 +136,7 @@ func TestArenaLag2Liveness(t *testing.T) {
 			}
 		}
 		subs := lvl.Sub
-		next, _ := Step(g, lvl, nil, b)
+		next := step(b, lvl)
 		for i, s := range subs {
 			if !equalU32(s.Prefix, snaps[i].prefix) || !equalU32(s.Tails, snaps[i].tails) {
 				t.Fatalf("level k=%d sub-list %d mutated while being consumed", lvl.K, i)

@@ -23,7 +23,7 @@ func TestCompressedModeMatchesStored(t *testing.T) {
 				t.Fatal(err)
 			}
 			compressed := &clique.Collector{}
-			if _, err := Enumerate(g, Options{Lo: lo, CompressCN: true, Reporter: compressed}); err != nil {
+			if _, err := Enumerate(g, Options{Lo: lo, Mode: CNCompress, Reporter: compressed}); err != nil {
 				t.Fatal(err)
 			}
 			if ok, diff := clique.SameSets(dense.Cliques, compressed.Cliques); !ok {
@@ -45,7 +45,7 @@ func TestCompressedModeSavesMemoryOnSparseGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := Enumerate(g, Options{CompressCN: true})
+	compressed, err := Enumerate(g, Options{Mode: CNCompress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,13 @@ func TestCompressedModeSavesMemoryOnSparseGraphs(t *testing.T) {
 		dense.PeakBytes, compressed.PeakBytes, ratio)
 }
 
-func TestCompressedAndRecomputeMutuallyExclusive(t *testing.T) {
+// TestUnknownCNModeRejected: with one Mode field the conflicting
+// store/compress pair is unrepresentable; the mode left to reject is
+// one outside the enum.
+func TestUnknownCNModeRejected(t *testing.T) {
 	g := graph.New(3)
-	if _, err := Enumerate(g, Options{RecomputeCN: true, CompressCN: true}); err == nil {
-		t.Fatal("conflicting modes accepted")
+	if _, err := Enumerate(g, Options{Mode: CNCompress + 1}); err == nil {
+		t.Fatal("unknown mode accepted")
 	}
 }
 
@@ -83,8 +86,8 @@ func TestAllThreeModesAgreeOnFigure4(t *testing.T) {
 	var results [][]clique.Clique
 	for _, opts := range []Options{
 		{},
-		{RecomputeCN: true},
-		{CompressCN: true},
+		{Mode: CNRecompute},
+		{Mode: CNCompress},
 	} {
 		col := &clique.Collector{}
 		opts.Reporter = col

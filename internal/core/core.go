@@ -20,13 +20,13 @@ import (
 // budget abort satisfies the same errors.Is target.
 var ErrMemoryBudget = membudget.ErrBudget
 
-// Options configures Enumerate.
+// Options configures Enumerate and the in-core level driver (Drive).
 type Options struct {
 	// Ctx, when non-nil, cancels the enumeration: the level loop checks
-	// it before every generation step, and Step checks it every 64
-	// sub-lists within a level, bounding cancellation latency to a small
-	// batch of sub-lists.  On cancellation Enumerate returns the partial
-	// Result together with an error wrapping ctx.Err().
+	// it before and after every generation step, and the runners check
+	// it within a level (the sequential runner every 64 sub-lists, the
+	// pool between chunks).  On cancellation the partial Result is
+	// returned together with an error wrapping ctx.Err().
 	Ctx context.Context
 	// Lo is the smallest clique size of interest (the paper's Init_K).
 	// When Lo <= 2 the enumeration seeds directly from the edge list;
@@ -47,27 +47,23 @@ type Options struct {
 	// when Lo <= 2.  The paper's experiments start at size 3 and skip
 	// these; tools that need complete covers enable it.
 	ReportSmall bool
-	// RecomputeCN switches to the paper's low-memory alternative:
-	// sub-lists do not retain their prefix common-neighbor bitmaps, and
-	// each step reconstructs them with (k-2) extra ANDs.
-	RecomputeCN bool
-	// CompressCN stores the prefix bitmaps WAH-compressed (the paper's
-	// future-work direction): high compression on sparse graphs at the
-	// cost of one decompression pass per sub-list.  Mutually exclusive
-	// with RecomputeCN.
-	CompressCN bool
-	// MemoryBudget, when positive, bounds the paper-formula byte total of
-	// the resident levels (consumed + produced); exceeding it aborts with
-	// ErrMemoryBudget.  Ignored when Gov is set.
+	// Mode is the common-neighbor bitmap policy: the paper's stored
+	// bitmaps (CNStore, the zero value), its low-memory alternative that
+	// rebuilds them with (k-2) extra ANDs per sub-list (CNRecompute), or
+	// WAH-compressed bitmaps, its future-work direction (CNCompress).
+	Mode CNMode
+	// MemoryBudget, when positive, bounds the governor-accounted resident
+	// bytes (seed level, retained candidates, builder scratch); exceeding
+	// it aborts with ErrMemoryBudget.  Ignored when Gov is set.
 	MemoryBudget int64
 	// Gov, when non-nil, is the run's shared memory governor: the seed
-	// level and every kept sub-list are charged against it, consumed
-	// levels are released at step boundaries, and enumeration aborts
-	// with ErrMemoryBudget once it reports Over.  Callers that charge
-	// other layers into the same governor (the facade charges the graph
-	// representation's adjacency bytes) thereby tighten the candidate
-	// headroom — one budget, one meaning of memory.  When nil, a private
-	// governor is derived from MemoryBudget.
+	// level, the runner's scratch and every kept sub-list are charged
+	// against it, consumed levels are released at step boundaries, and
+	// enumeration aborts with ErrMemoryBudget once it reports Over.
+	// Callers that charge other layers into the same governor (the
+	// facade charges the graph representation's adjacency bytes) thereby
+	// tighten the candidate headroom — one budget, one meaning of memory.
+	// When nil, a private governor is derived from MemoryBudget.
 	Gov *membudget.Governor
 	// OnLevel, when non-nil, observes each generation step.
 	OnLevel func(LevelStats)
@@ -78,9 +74,10 @@ type Result struct {
 	MaximalCliques int64        // total maximal cliques reported (all sizes)
 	MaxCliqueSize  int          // largest maximal clique size seen
 	Levels         []LevelStats // one entry per generation step
-	SeedStats      kclique.Stats
-	PeakBytes      int64 // max paper-formula bytes resident at any step
+	PeakBytes      int64        // max paper-formula bytes resident at any step
 	TotalCost      Cost
+	WorkerBusy     []float64 // pool runs: total busy seconds per worker
+	Transfers      int       // pool runs: sub-lists processed off their home worker
 }
 
 // OptionsFromConfig derives sequential-backend Options from the unified
@@ -92,119 +89,24 @@ func OptionsFromConfig(c enumcfg.Config) Options {
 		Lo:           c.Lo,
 		Hi:           c.Hi,
 		ReportSmall:  c.ReportSmall,
-		RecomputeCN:  c.Mode == enumcfg.CNRecompute,
-		CompressCN:   c.Mode == enumcfg.CNCompress,
+		Mode:         c.Mode,
 		MemoryBudget: c.MemoryBudget,
 	}
 }
 
 // Enumerate runs the Clique Enumerator over g — any graph representation
-// — and returns run statistics.  Maximal cliques are reported in
-// non-decreasing order of size; within a level, in canonical order.  The
-// dense representation keeps its historical allocation-identical fast
-// path; CSR and WAH graphs run through the generic row-access contract.
-//
-//repro:ctxloop
+// — on one thread and returns run statistics.  Maximal cliques are
+// reported in non-decreasing order of size; within a level, in canonical
+// order.  The dense representation keeps its historical
+// allocation-identical fast path; CSR and WAH graphs run through the
+// generic row-access contract.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
-	if opts.Lo == 0 {
-		opts.Lo = 2
+	if opts.Gov == nil && opts.MemoryBudget > 0 {
+		opts.Gov = membudget.New(opts.MemoryBudget)
 	}
-	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if opts.RecomputeCN && opts.CompressCN {
-		return nil, fmt.Errorf("core: RecomputeCN and CompressCN are mutually exclusive")
-	}
-	mode := CNStore
-	switch {
-	case opts.RecomputeCN:
-		mode = CNRecompute
-	case opts.CompressCN:
-		mode = CNCompress
-	}
-
-	res := &Result{}
-	emit := func(c clique.Clique) {
-		res.MaximalCliques++
-		if len(c) > res.MaxCliqueSize {
-			res.MaxCliqueSize = len(c)
-		}
-		if opts.Reporter != nil {
-			opts.Reporter.Emit(c)
-		}
-	}
-	reporter := clique.ReporterFunc(emit)
-
-	var lvl *Level
-	if opts.Lo <= 2 {
-		if opts.ReportSmall {
-			reportSmall(g, opts.Lo, reporter)
-		}
-		lvl = SeedFromEdgesMode(g, mode)
-	} else {
-		var err error
-		lvl, res.SeedStats, err = SeedFromKMode(g, opts.Lo, mode, reporter)
-		if err != nil {
-			return res, err
-		}
-	}
-
-	// The governor is the single accounting authority: the seed level is
-	// charged up front, each kept sub-list is charged as it is retained
-	// (Builder.keep), and a consumed level is released at its step
-	// boundary — so Used tracks the paper's resident formula (consumed +
-	// produced) continuously instead of being re-derived per step.
-	gov := opts.Gov
-	if gov == nil && opts.MemoryBudget > 0 {
-		gov = membudget.New(opts.MemoryBudget)
-	}
-	gov.Charge(lvl.Bytes(g.N()))
-
-	pool := bitset.NewPool(g.N())
-	b := NewBuilderMode(g, mode, pool)
-	b.Ctx = opts.Ctx
-	b.Gov = gov
-	b.TripOnOver = true
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return res, fmt.Errorf("core: canceled before level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		next, st := Step(g, lvl, reporter, b)
-		if b.Canceled {
-			// The consumed level and the partial next level are both still
-			// charged; retire them so a shared governor stays balanced.
-			gov.Release(st.Bytes + st.NextBytes)
-			return res, fmt.Errorf("core: canceled during level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		res.Levels = append(res.Levels, st)
-		res.TotalCost.Add(st.Cost)
-		if opts.OnLevel != nil {
-			opts.OnLevel(st)
-		}
-		if resident := st.Bytes + st.NextBytes; resident > res.PeakBytes {
-			res.PeakBytes = resident
-		}
-		if b.Exceeded || gov.Over() {
-			err := fmt.Errorf("%w: level %d->%d resident %d bytes > budget %d",
-				ErrMemoryBudget, lvl.K, lvl.K+1, gov.Used(), gov.Budget())
-			gov.Release(st.Bytes + st.NextBytes) // reconcile after formatting
-			return res, err
-		}
-		gov.Release(st.Bytes) // the consumed level is retired
-		lvl = next
-	}
-	gov.Release(lvl.Bytes(g.N())) // the final (empty or Hi-cut) level
-	return res, nil
-}
-
-// ReportSmallCliques emits the maximal 1- and 2-cliques reportSmall
-// covers — the ReportSmall entry for drivers (the hybrid backend) that
-// run the level machinery themselves instead of through Enumerate.
-func ReportSmallCliques(g graph.Interface, lo int, r clique.Reporter) {
-	reportSmall(g, lo, r)
+	run := NewSequentialRunner(g, opts.Mode, opts.Gov)
+	defer run.Close()
+	return Drive(g, opts, 1, run, nil)
 }
 
 // reportSmall emits maximal 1-cliques (when lo <= 1) and maximal

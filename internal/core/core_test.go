@@ -136,7 +136,7 @@ func TestRecomputeCNMatchesStored(t *testing.T) {
 			{Size: 6}, {Size: 5, Overlap: 2},
 		}, 40)
 		stored, resStored := enumerate(t, g, Options{})
-		recomp, resRecomp := enumerate(t, g, Options{RecomputeCN: true})
+		recomp, resRecomp := enumerate(t, g, Options{Mode: CNRecompute})
 		if ok, diff := clique.SameSets(stored.Cliques, recomp.Cliques); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/graph"
@@ -43,26 +41,17 @@ type Builder struct {
 	mode  CNMode
 	pool  *bitset.Pool
 
-	Next     []*SubList
-	Maximal  int64
-	Cands    int64 // candidate cliques kept (Σ tails of Next)
-	Dropped  int64 // non-maximal cliques discarded from singleton sub-lists
-	Cost     Cost
-	NewBytes int64 // paper-formula bytes of Next
+	Next    []*SubList
+	Maximal int64
+	Dropped int64 // non-maximal cliques discarded from singleton sub-lists
+	Cost    Cost
 
 	// Gov, when non-nil, is the run's memory governor: keep charges every
 	// retained sub-list's paper-formula bytes against it.  The governor
-	// may be shared by many builders; charges are atomic.
+	// may be shared by many builders; charges are atomic.  The builder
+	// never polls it: the level runner that drives the builder decides
+	// where a level stops (see LevelRunner).
 	Gov *membudget.Governor
-	// TripOnOver additionally makes ProcessSubList a no-op (with
-	// Exceeded set) once the governor reports Over — the sequential
-	// backend's sub-list-granular abort, reproducing the paper's mid-run
-	// termination of the graph-B blow-up (607 GB of (k+1)-cliques)
-	// without owning 2 TB.  Worker pools leave it unset: a pool must
-	// complete every sub-list it deposits so the in-order frontier stays
-	// a consistent cut, and instead polls the governor between chunks.
-	TripOnOver bool
-	Exceeded   bool
 
 	// Spill, when non-nil, switches the builder to drain mode: surviving
 	// candidate sub-lists are not retained (and not charged) — each
@@ -75,11 +64,6 @@ type Builder struct {
 	Spill    func(rec []uint32) error
 	SpillErr error
 	spillRec []uint32
-
-	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
-	// Canceled records that it did (and is cleared by Reset).
-	Ctx      context.Context
-	Canceled bool
 
 	// matRows: rows of this representation have expensive per-bit Test
 	// (WAH walks the compressed stream from the start on every probe),
@@ -163,12 +147,8 @@ func (b *Builder) Reset() {
 	b.retNext[0] = b.Next
 	b.Next = old[:0]
 	b.Maximal = 0
-	b.Cands = 0
 	b.Dropped = 0
 	b.Cost = Cost{}
-	b.NewBytes = 0
-	b.Exceeded = false
-	b.Canceled = false
 	b.SpillErr = nil
 }
 
@@ -223,14 +203,6 @@ func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 	if b.SpillErr != nil {
-		if s.CN != nil {
-			b.pool.Put(s.CN)
-			s.CN = nil
-		}
-		return
-	}
-	if b.Spill == nil && b.TripOnOver && b.Gov.Over() {
-		b.Exceeded = true
 		if s.CN != nil {
 			b.pool.Put(s.CN)
 			s.CN = nil
@@ -385,7 +357,7 @@ func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, prefixCN, 
 // |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch: a
 // retained sub-list copies it exact-size into arena storage.
 //
-//nolint:budgetpair ownership of the charge transfers with the kept sub-list: the level loop releases it when the produced level is consumed (Enumerate's st.Bytes release) or aborted
+//nolint:budgetpair ownership of the charge transfers with the kept sub-list: the level driver (Drive) releases it with the consumed level's bytes at the next step boundary, or on abort
 //repro:hotpath
 func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 	switch {
@@ -410,7 +382,6 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 					return
 				}
 			}
-			b.Cands += int64(len(newTails))
 			return
 		}
 		ns := b.newSubList()
@@ -430,8 +401,6 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 			ns.CNC = wah.Compress(b.scratch)
 		}
 		b.Next = append(b.Next, ns)
-		b.Cands += int64(len(newTails))
-		b.NewBytes += ns.bytes(b.cnBytes)
 		b.Gov.Charge(ns.bytes(b.cnBytes))
 	case len(newTails) == 1:
 		// A lone non-maximal clique cannot join with a sibling; the
@@ -457,7 +426,9 @@ func growRec(buf *[]uint32, n int) []uint32 {
 	return *buf
 }
 
-// LevelStats summarizes one generation step k -> k+1.
+// LevelStats summarizes one generation step k -> k+1.  The level driver
+// fills the consumed- and produced-level fields; the runner fills the
+// work it measured (the pool fields stay zero on the sequential runner).
 type LevelStats struct {
 	FromK     int   // size of the consumed candidates
 	Sublists  int   // N[k] consumed
@@ -469,31 +440,9 @@ type LevelStats struct {
 	Maximal   int64 // maximal (k+1)-cliques reported
 	Dropped   int64 // non-maximal (k+1)-cliques discarded (singleton rule)
 	Cost      Cost
-}
 
-// Step runs one sequential generation step over an entire level and
-// returns the next level with statistics.  The input level's bitmaps are
-// recycled; its sub-list slice must not be reused by the caller.
-func Step(g graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level, LevelStats) {
-	st := LevelStats{
-		FromK:    lvl.K,
-		Sublists: len(lvl.Sub),
-		Cliques:  lvl.Cliques(),
-		Bytes:    lvl.Bytes(g.N()),
-	}
-	b.Reset()
-	for i, s := range lvl.Sub {
-		if b.Ctx != nil && i&63 == 0 && b.Ctx.Err() != nil {
-			b.Canceled = true
-			break
-		}
-		b.ProcessSubList(s, r)
-	}
-	st.NextSub = len(b.Next)
-	st.NextCl = b.Cands
-	st.NextBytes = b.NewBytes
-	st.Maximal = b.Maximal
-	st.Dropped = b.Dropped
-	st.Cost = b.Cost
-	return &Level{K: lvl.K + 1, Sub: b.Next}, st
+	Chunks     int       // pool: dispatcher chunks handed out
+	Transfers  int       // pool: sub-lists processed by a non-home worker
+	WorkerBusy []float64 // pool: seconds of generation work per worker
+	WorkerCost []int64   // pool: abstract cost units per worker
 }

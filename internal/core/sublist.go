@@ -45,7 +45,7 @@ type SubList struct {
 	Prefix []uint32
 	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
 	// universe.  It is nil when the enumeration runs in recompute mode
-	// (Options.RecomputeCN), trading the paper's "faster but keeps the
+	// (Options.Mode = CNRecompute), trading the paper's "faster but keeps the
 	// common neighbors" choice for its "no more memory" alternative; it
 	// is also nil in compressed mode, where CNC holds the bitmap.
 	CN *bitset.Bitset

@@ -59,8 +59,8 @@ func ablateCNMode(cfg Config) (*Table, error) {
 		opts core.Options
 	}{
 		{"store dense (paper)", core.Options{Ctx: cfg.Ctx}},
-		{"recompute", core.Options{Ctx: cfg.Ctx, RecomputeCN: true}},
-		{"WAH compress", core.Options{Ctx: cfg.Ctx, CompressCN: true}},
+		{"recompute", core.Options{Ctx: cfg.Ctx, Mode: core.CNRecompute}},
+		{"WAH compress", core.Options{Ctx: cfg.Ctx, Mode: core.CNCompress}},
 	} {
 		start := time.Now()
 		res, err := core.Enumerate(g, m.opts)

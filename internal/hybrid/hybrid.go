@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
 	"repro/internal/parallel"
@@ -110,7 +109,6 @@ type Result struct {
 	// generated when the governor tripped — the size of the records the
 	// drain wrote.  0 means the whole run stayed in core.
 	SpilledAtLevel int
-	SeedStats      kclique.Stats
 	// OOC is the out-of-core engine's I/O accounting for the spilled
 	// phase (zero when the run never spilled).
 	OOC ooc.Stats
@@ -139,29 +137,22 @@ type runner struct {
 	g    graph.Interface
 	opts Options
 	gov  *membudget.Governor
-	rep  clique.Reporter // counting wrapper around opts.Reporter
+	rep  clique.Reporter // the driver's counting reporter, set on the trip
 	bits *bitset.Pool
 	res  *Result
 }
 
-// Enumerate runs the adaptive enumeration.  The emitted clique stream —
-// order included — is identical to the sequential in-core backend's for
-// any budget, worker count and trip point.
+// Enumerate runs the adaptive enumeration: the in-core level driver
+// (core.Drive) on the sequential runner or the streaming pool, with the
+// drain as its trip handler.  The emitted clique stream — order
+// included — is identical to the sequential in-core backend's for any
+// budget, worker count and trip point.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("hybrid: Dir is required")
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.Lo == 0 {
-		opts.Lo = 2
-	}
-	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	if opts.Mode < core.CNStore || opts.Mode > core.CNCompress {
-		return nil, fmt.Errorf("hybrid: unknown CN mode %d", opts.Mode)
 	}
 	if opts.ReportSmall && opts.Workers > 1 {
 		return nil, fmt.Errorf("hybrid: ReportSmall requires the sequential in-core phase")
@@ -177,23 +168,56 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 		bits: bitset.NewPool(g.N()),
 		res:  &Result{},
 	}
-	// Every emission — seed phase, in-core levels, drain join, and the
-	// out-of-core continuation — flows through one counting reporter, so
-	// the result's totals are exactly what the caller received.
-	h.rep = clique.ReporterFunc(func(c clique.Clique) {
-		h.res.MaximalCliques++
-		if len(c) > h.res.MaxCliqueSize {
-			h.res.MaxCliqueSize = len(c)
-		}
-		if h.opts.Reporter != nil {
-			h.opts.Reporter.Emit(c)
-		}
-	})
-	var err error
+	var run core.LevelRunner
+	var closeRun func()
 	if opts.Workers > 1 {
-		err = h.runParallel()
+		p, err := parallel.NewPool(g, parallel.Options{
+			Workers:  opts.Workers,
+			Mode:     opts.Mode,
+			Strategy: opts.Strategy,
+			Gov:      gov,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: %w", err)
+		}
+		run, closeRun = p, p.Close
 	} else {
-		err = h.runSequential()
+		s := core.NewSequentialRunner(g, opts.Mode, gov)
+		run, closeRun = s, s.Close
+	}
+	defer closeRun()
+	var onLevel func(core.LevelStats)
+	if opts.OnLevel != nil {
+		onLevel = func(ls core.LevelStats) {
+			opts.OnLevel(LevelStats{
+				FromK:         ls.FromK,
+				Sublists:      ls.Sublists,
+				Cliques:       ls.Cliques,
+				Maximal:       ls.Maximal,
+				ResidentBytes: ls.Bytes + ls.NextBytes,
+			})
+		}
+	}
+	res, err := core.Drive(g, core.Options{
+		Ctx:         opts.Ctx,
+		Lo:          opts.Lo,
+		Hi:          opts.Hi,
+		Reporter:    opts.Reporter,
+		ReportSmall: opts.ReportSmall,
+		Mode:        opts.Mode,
+		Gov:         gov,
+		OnLevel:     onLevel,
+	}, opts.Workers, run, func(t core.Trip) error {
+		// Outputs for inputs below the frontier were emitted and their
+		// survivors retained; the pool discarded its window beyond it.
+		// Close the runner before the serial drain so its scratch leaves
+		// the accounting.
+		closeRun()
+		h.rep = t.Reporter
+		return h.drain(t.Level, t.Out.Next.Sub, t.Level.Sub[t.Out.Frontier:], t.Out.Stats.Maximal, t.Bytes)
+	})
+	if res != nil {
+		h.res.MaximalCliques, h.res.MaxCliqueSize = res.MaximalCliques, res.MaxCliqueSize
 	}
 	return h.res, err
 }
@@ -203,146 +227,6 @@ func (h *runner) ctx() context.Context {
 		return context.Background()
 	}
 	return h.opts.Ctx
-}
-
-// runSequential is the Workers == 1 in-core phase: the core level loop
-// with a per-sub-list governor poll.
-//
-//repro:ctxloop
-func (h *runner) runSequential() error {
-	g, opts := h.g, h.opts
-	var lvl *core.Level
-	if opts.Lo <= 2 {
-		if opts.ReportSmall {
-			core.ReportSmallCliques(g, opts.Lo, h.rep)
-		}
-		lvl = core.SeedFromEdgesMode(g, opts.Mode)
-	} else {
-		var err error
-		lvl, h.res.SeedStats, err = core.SeedFromKMode(g, opts.Lo, opts.Mode, h.rep)
-		if err != nil {
-			return err
-		}
-	}
-	h.gov.Charge(lvl.Bytes(g.N()))
-
-	b := core.NewBuilderMode(g, opts.Mode, h.bits)
-	b.Ctx = opts.Ctx
-	b.Gov = h.gov
-	h.gov.Charge(b.ScratchBytes())
-	defer h.gov.Release(b.ScratchBytes())
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if err := h.ctx().Err(); err != nil {
-			h.gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return fmt.Errorf("hybrid: canceled before level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		b.Reset()
-		tripAt := -1
-		for i, s := range lvl.Sub {
-			if i&63 == 0 && h.ctx().Err() != nil {
-				// The consumed level and the partial next level are both
-				// still charged; retire them so the shared governor stays
-				// balanced for the spillover bookkeeping.
-				h.gov.Release(lvlBytes + b.NewBytes)
-				return fmt.Errorf("hybrid: canceled during level %d->%d: %w",
-					lvl.K, lvl.K+1, h.ctx().Err())
-			}
-			if h.gov.Over() {
-				tripAt = i
-				break
-			}
-			b.ProcessSubList(s, h.rep)
-		}
-		if tripAt >= 0 {
-			// The governor tripped at input tripAt: drain the head
-			// (outputs of inputs < tripAt, all retained and in order)
-			// plus the joined remainder, then continue out of core.
-			return h.drain(lvl, b.Next, lvl.Sub[tripAt:], b.Maximal, lvlBytes)
-		}
-		next := &core.Level{K: lvl.K + 1, Sub: b.Next}
-		h.observe(LevelStats{
-			FromK:         lvl.K,
-			Sublists:      len(lvl.Sub),
-			Cliques:       lvl.Cliques(),
-			Maximal:       b.Maximal,
-			ResidentBytes: lvlBytes + b.NewBytes,
-		})
-		h.gov.Release(lvlBytes)
-		lvl = next
-	}
-	h.gov.Release(lvl.Bytes(g.N()))
-	return nil
-}
-
-// runParallel is the Workers > 1 in-core phase: the streaming pool with
-// the governor as its per-chunk trip, and the sequencer's frontier as
-// the consistent cut the drain resumes from.
-//
-//repro:ctxloop
-func (h *runner) runParallel() error {
-	g, opts := h.g, h.opts
-	p, err := parallel.NewPool(g, parallel.Options{
-		Ctx:         opts.Ctx,
-		Workers:     opts.Workers,
-		Lo:          opts.Lo,
-		Hi:          opts.Hi,
-		RecomputeCN: opts.Mode == core.CNRecompute,
-		CompressCN:  opts.Mode == core.CNCompress,
-		Strategy:    opts.Strategy,
-		Gov:         h.gov,
-	})
-	if err != nil {
-		return fmt.Errorf("hybrid: %w", err)
-	}
-	defer p.Close()
-
-	var lvl *core.Level
-	var homes []int32
-	if opts.Lo <= 2 {
-		lvl, homes = core.SeedFromEdgesParallel(g, opts.Mode, opts.Workers)
-	} else {
-		lvl, homes, h.res.SeedStats, err = core.SeedFromKParallel(g, opts.Lo, opts.Mode, opts.Workers, h.rep)
-		if err != nil {
-			return err
-		}
-	}
-	h.gov.Charge(lvl.Bytes(g.N()))
-
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if err := h.ctx().Err(); err != nil {
-			h.gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return fmt.Errorf("hybrid: canceled before level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		out := p.RunLevel(opts.Ctx, lvl, homes, h.rep, h.gov.Over)
-		if err := h.ctx().Err(); err != nil {
-			// The consumed level plus the head of the next level the pool
-			// retained below its frontier are still charged; retire both.
-			h.gov.Release(lvlBytes + out.Next.Bytes(g.N()))
-			return fmt.Errorf("hybrid: canceled during level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		if out.Tripped {
-			// Outputs for inputs < Frontier were released in order (and
-			// emitted); the window beyond it was discarded by the pool.
-			// Close the pool before the serial drain so its workers'
-			// scratch leaves the accounting.
-			maximal := out.Stats.Maximal
-			p.Close()
-			return h.drain(lvl, out.Next.Sub, lvl.Sub[out.Frontier:], maximal, lvlBytes)
-		}
-		h.observe(LevelStats{
-			FromK:         lvl.K,
-			Sublists:      len(lvl.Sub),
-			Cliques:       lvl.Cliques(),
-			Maximal:       out.Stats.Maximal,
-			ResidentBytes: lvlBytes + out.Next.Bytes(g.N()),
-		})
-		h.gov.Release(lvlBytes)
-		lvl, homes = out.Next, out.Homes
-	}
-	h.gov.Release(lvl.Bytes(g.N()))
-	return nil
 }
 
 // drain switches the run out of core mid-step.  lvl is the consumed
@@ -411,7 +295,6 @@ func (h *runner) drain(lvl *core.Level, head, rest []*core.SubList, stepMaximal 
 		// whose bitmaps were already consumed (a discarded parallel
 		// window) reconstruct their prefix CN from adjacency rows.
 		db := core.NewBuilderMode(g, opts.Mode, h.bits)
-		db.Ctx = opts.Ctx
 		db.Spill = write
 		for i, s := range rest {
 			if i&63 == 0 && h.ctx().Err() != nil {

@@ -36,10 +36,10 @@
 // merge-window emission copy between deposit and in-order release.  A
 // configured budget is enforced — workers stop pulling chunks the moment
 // the governor trips, the in-flight window drains through the
-// sched.Sequencer, and Enumerate aborts with core.ErrMemoryBudget — and
-// the same trip-and-drain machinery is what the hybrid backend uses,
-// through Pool.RunLevel, to switch a live run out-of-core instead of
-// aborting it.
+// sched.Sequencer, and the level driver (core.Drive) aborts with
+// core.ErrMemoryBudget — and the same trip-and-drain machinery is what
+// the hybrid backend uses, through the same driver and Pool.RunLevel, to
+// switch a live run out-of-core instead of aborting it.
 package parallel
 
 import (
@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/membudget"
 	"repro/internal/sched"
 )
@@ -73,24 +72,19 @@ const (
 // Options configures Enumerate.
 type Options struct {
 	// Ctx, when non-nil, cancels the run: workers stop pulling dispatcher
-	// chunks, the in-flight level drains through the usual barrier (so
-	// the pool shuts down cleanly and no goroutine leaks), and Enumerate
-	// returns the partial Result with an error wrapping ctx.Err().
+	// chunks, the in-flight level drains to the level's end (so the pool
+	// shuts down cleanly and no goroutine leaks), and Enumerate returns
+	// the partial Result with an error wrapping ctx.Err().
 	Ctx context.Context
 	// Workers is the number of worker threads; must be >= 1.
 	Workers int
-	// Lo, Hi, RecomputeCN, CompressCN as in core.Options.
-	Lo, Hi      int
-	RecomputeCN bool
-	CompressCN  bool
+	// Lo, Hi, Mode as in core.Options.
+	Lo, Hi int
+	Mode   core.CNMode
 	// Strategy selects the dispatch policy (default Contiguous).
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
 	Policy sched.Policy
-	// ChunksPerWorker tunes dispatch granularity: each level is cut into
-	// roughly Workers*ChunksPerWorker chunks by estimated load.  0 uses
-	// sched.DefaultChunksPerWorker.
-	ChunksPerWorker int
 	// MemoryBudget, when positive, bounds the governor-accounted
 	// resident bytes (seed level + retained candidates + worker scratch
 	// + merge-window copies); exceeding it aborts the run with an error
@@ -104,155 +98,52 @@ type Options struct {
 	// (non-decreasing size; lexicographic within a size) with either
 	// strategy.  May be nil.
 	Reporter clique.Reporter
-	// OnLevel observes per-level scheduling statistics.
+	// OnLevel observes per-level statistics, the pool's scheduling
+	// fields included.
 	OnLevel func(LevelStats)
 }
 
-// LevelStats describes one parallel level step.
-type LevelStats struct {
-	FromK      int
-	Sublists   int
-	Chunks     int       // dispatcher chunks handed out
-	Transfers  int       // sub-lists processed by a non-home worker
-	WorkerBusy []float64 // seconds of generation work per worker
-	WorkerCost []int64   // abstract cost units per worker
-	Maximal    int64
-}
+// LevelStats describes one level step; the pool fills its scheduling
+// fields (Chunks, Transfers, WorkerBusy, WorkerCost).
+type LevelStats = core.LevelStats
 
-// Result summarizes a parallel run.
-type Result struct {
-	MaximalCliques int64
-	MaxCliqueSize  int
-	Levels         []LevelStats
-	WorkerBusy     []float64 // total busy seconds per worker
-	Transfers      int
-	SeedStats      kclique.Stats // populated when Lo >= 3
-	Elapsed        time.Duration
-}
+// Result summarizes a parallel run; WorkerBusy and Transfers total the
+// pool's per-level scheduling statistics.
+type Result = core.Result
 
 // OptionsFromConfig derives parallel-backend Options from the unified
-// backend config.  Reporter, OnLevel, Policy and ChunksPerWorker are not
-// part of the config and are left for the caller to fill.
+// backend config.  Reporter, OnLevel and Policy are not part of the
+// config and are left for the caller to fill.
 func OptionsFromConfig(c enumcfg.Config) Options {
 	return Options{
 		Ctx:          c.Ctx,
 		Workers:      c.Workers,
 		Lo:           c.Lo,
 		Hi:           c.Hi,
-		RecomputeCN:  c.Mode == enumcfg.CNRecompute,
-		CompressCN:   c.Mode == enumcfg.CNCompress,
+		Mode:         c.Mode,
 		Strategy:     c.Strategy,
 		MemoryBudget: c.MemoryBudget,
 	}
 }
 
 // Enumerate runs the multithreaded Clique Enumerator on a persistent
-// streaming worker pool, over any graph representation.
-//
-//repro:ctxloop
+// streaming worker pool, over any graph representation: the in-core
+// level driver (core.Drive) with the pool as its level runner.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	p, err := NewPool(g, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	opts = p.opts // defaults applied
-	start := time.Now()
-	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
-
-	// Seed-phase reporter: counts and forwards maximal Lo-cliques.
-	seedRep := clique.ReporterFunc(func(c clique.Clique) {
-		res.MaximalCliques++
-		if len(c) > res.MaxCliqueSize {
-			res.MaxCliqueSize = len(c)
-		}
-		if opts.Reporter != nil {
-			opts.Reporter.Emit(c)
-		}
-	})
-
-	var lvl *core.Level
-	var homes []int32
-	if opts.Lo <= 2 {
-		lvl, homes = core.SeedFromEdgesParallel(g, p.mode, opts.Workers)
-	} else {
-		lvl, homes, res.SeedStats, err = core.SeedFromKParallel(g, opts.Lo, p.mode, opts.Workers, seedRep)
-		if err != nil {
-			return nil, err
-		}
-	}
-	gov := p.Gov()
-	gov.Charge(lvl.Bytes(g.N()))
-
-	var trip func() bool
-	if gov.Budget() > 0 {
-		trip = gov.Over
-	}
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("parallel: canceled at level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		out := p.RunLevel(opts.Ctx, lvl, homes, opts.Reporter, trip)
-		res.MaximalCliques += out.Stats.Maximal
-		if out.Stats.Maximal > 0 && lvl.K+1 > res.MaxCliqueSize {
-			res.MaxCliqueSize = lvl.K + 1
-		}
-		res.Transfers += out.Stats.Transfers
-		for w, busy := range out.Stats.WorkerBusy {
-			res.WorkerBusy[w] += busy
-		}
-		res.Levels = append(res.Levels, out.Stats)
-		if opts.OnLevel != nil {
-			opts.OnLevel(out.Stats)
-		}
-		if out.Tripped {
-			// gov.Err() reports Peak, so retiring the consumed level first
-			// does not distort the message; pool-side charges for the
-			// partial next level were reconciled by the merger on trip.
-			gov.Release(lvlBytes)
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("parallel: level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
-		}
-		gov.Release(lvlBytes) // the consumed level is retired
-		lvl, homes = out.Next, out.Homes
-	}
-	gov.Release(lvl.Bytes(g.N()))
-	res.Elapsed = time.Since(start)
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return res, fmt.Errorf("parallel: canceled: %w", opts.Ctx.Err())
-	}
-	return res, nil
-}
-
-// checkOptions validates opts, applies defaults, and resolves the bitmap
-// mode.
-func checkOptions(opts *Options) (core.CNMode, error) {
-	if opts.Workers < 1 {
-		return 0, fmt.Errorf("parallel: %d workers", opts.Workers)
-	}
-	if opts.Lo == 0 {
-		opts.Lo = 2
-	}
-	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
-		return 0, fmt.Errorf("parallel: %w", err)
-	}
-	if opts.RecomputeCN && opts.CompressCN {
-		return 0, fmt.Errorf("parallel: RecomputeCN and CompressCN are mutually exclusive")
-	}
-	if opts.Gov == nil && opts.MemoryBudget > 0 {
-		opts.Gov = membudget.New(opts.MemoryBudget)
-	}
-	switch {
-	case opts.RecomputeCN:
-		return core.CNRecompute, nil
-	case opts.CompressCN:
-		return core.CNCompress, nil
-	}
-	return core.CNStore, nil
+	return core.Drive(g, core.Options{
+		Ctx:      opts.Ctx,
+		Lo:       opts.Lo,
+		Hi:       opts.Hi,
+		Mode:     opts.Mode,
+		Gov:      p.opts.Gov,
+		Reporter: opts.Reporter,
+		OnLevel:  opts.OnLevel,
+	}, opts.Workers, p, nil)
 }
 
 // Pool is the persistent streaming worker pool with its level-merge
@@ -262,7 +153,6 @@ func checkOptions(opts *Options) (core.CNMode, error) {
 type Pool struct {
 	g       graph.Interface
 	opts    Options
-	mode    core.CNMode
 	bits    *bitset.Pool
 	workers []*worker
 	wg      sync.WaitGroup
@@ -273,24 +163,27 @@ type Pool struct {
 	closed  bool
 }
 
-// NewPool validates opts, starts the workers, and charges the governor
-// with their builder scratch.  Close must be called to stop them.
+// NewPool validates the worker count, derives the governor from
+// MemoryBudget when Gov is nil, starts the workers, and charges the
+// governor with their builder scratch.  Close must be called to stop
+// them.
 func NewPool(g graph.Interface, opts Options) (*Pool, error) {
-	mode, err := checkOptions(&opts)
-	if err != nil {
-		return nil, err
+	if opts.Workers < 1 {
+		return nil, fmt.Errorf("parallel: %d workers", opts.Workers)
+	}
+	if opts.Gov == nil && opts.MemoryBudget > 0 {
+		opts.Gov = membudget.New(opts.MemoryBudget)
 	}
 	p := &Pool{
 		g:     g,
 		opts:  opts,
-		mode:  mode,
 		bits:  bitset.NewPool(g.N()),
 		words: int64((g.N() + 63) / 64),
 	}
 	p.m = &merger{gov: opts.Gov, bits: p.bits, n: g.N()}
 	p.workers = make([]*worker, opts.Workers)
 	for w := range p.workers {
-		b := core.NewBuilderMode(g, mode, p.bits)
+		b := core.NewBuilderMode(g, opts.Mode, p.bits)
 		b.Gov = opts.Gov
 		p.scratch += b.ScratchBytes()
 		p.workers[w] = &worker{
@@ -304,9 +197,6 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 	opts.Gov.Charge(p.scratch)
 	return p, nil
 }
-
-// Gov returns the pool's governor (possibly nil).
-func (p *Pool) Gov() *membudget.Governor { return p.opts.Gov }
 
 // Close stops the workers and releases the governor's scratch charge.
 // Idempotent.
@@ -322,38 +212,20 @@ func (p *Pool) Close() {
 	p.opts.Gov.Release(p.scratch)
 }
 
-// LevelOutcome is one RunLevel's result.  When the level ran to
-// completion, Next/Homes describe the produced level and Frontier equals
-// the input sub-list count.  When the trip callback (or a context
-// cancellation) stopped it early, outputs were delivered in exact
-// canonical order for inputs [0, Frontier) only: Next holds precisely
-// their surviving sub-lists, every deposited-but-unreleased result
-// beyond the frontier has been discarded (and its governor charges
-// reconciled), and inputs [Frontier, n) are untouched input again — the
-// consistent cut the hybrid drain resumes from.
-type LevelOutcome struct {
-	Next     *core.Level
-	Homes    []int32
-	Stats    LevelStats
-	Frontier int
-	Tripped  bool
-}
-
-// RunLevel drives one level through the pool: it hands every worker the
-// level job, then sleeps until the level barrier.  Result merging is
+// RunLevel drives one level through the pool — its core.LevelRunner
+// implementation: it hands every worker the level job, then sleeps until
+// every worker has finished the level.  Result merging is
 // decentralized — workers deposit chunk results straight into the shared
 // streaming merger — so the coordinator costs no CPU while the level
 // runs, which matters when workers already oversubscribe the cores.
 // trip, when non-nil, is polled by workers between chunks; once it
 // returns true the level stops early with the consistent-cut semantics
-// documented on LevelOutcome.
+// documented on core.LevelOutcome.
 func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
-	rep clique.Reporter, trip func() bool) LevelOutcome {
+	rep clique.Reporter, trip func() bool) core.LevelOutcome {
 	w := len(p.workers)
 	items := len(lvl.Sub)
 	st := LevelStats{
-		FromK:      lvl.K,
-		Sublists:   items,
 		WorkerBusy: make([]float64, w),
 		WorkerCost: make([]int64, w),
 	}
@@ -364,7 +236,7 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	for i, s := range lvl.Sub {
 		loads[i] = estimateLoad(s, p.words)
 	}
-	grain := sched.ChunkGrain(loads, w, p.opts.ChunksPerWorker)
+	grain := sched.ChunkGrain(loads, w, sched.DefaultChunksPerWorker)
 	var disp *sched.Dispatcher
 	if p.opts.Strategy == Affinity {
 		disp = sched.NewAffinityDispatcher(loads, homes, w, p.opts.Policy, grain)
@@ -394,7 +266,11 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	st.Maximal = p.m.maximal
 	st.Transfers = disp.Transfers()
 	st.Chunks = disp.Chunks()
-	out := LevelOutcome{
+	for _, wk := range p.workers {
+		st.Dropped += wk.builder.Dropped
+		st.Cost.Add(wk.builder.Cost)
+	}
+	out := core.LevelOutcome{
 		Next:     p.m.next,
 		Homes:    p.m.homes,
 		Stats:    st,
@@ -422,8 +298,7 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 // item i of the chunk produced next[subOff[i]:subOff[i+1]] (a snapshot of
 // the worker builder's output slice) and, when collecting, emitted
 // cliques emitted[emitOff[i]:emitOff[i+1]].  Offset arrays cost a few
-// bytes per sub-list, keeping the streaming machinery's allocation rate
-// near the barrier implementation's.
+// bytes per sub-list instead of one allocation per sub-list.
 type chunkResult struct {
 	worker  int32
 	items   []int32
@@ -446,7 +321,7 @@ type itemRef struct {
 // with the out-of-core shard merger — as soon as every earlier sub-list
 // of the level has been released.  Emission order is therefore exactly
 // the sequential enumeration order, while only the out-of-order window
-// is buffered — not the whole level, as the barrier implementation must.
+// is buffered, never the whole level.
 // The window's emission copies are governor-charged between deposit and
 // release, so "merge-window buffers" are part of what the budget means.
 type merger struct {
@@ -582,8 +457,8 @@ func (wk *worker) loop(wg *sync.WaitGroup) {
 		}
 		for {
 			// Cancellation / governor-trip point: a stopped level is no
-			// longer pulled, every worker falls through to the level
-			// barrier, and the pool stays reusable — for a clean shutdown
+			// longer pulled, every worker falls through to the end of the
+			// level, and the pool stays reusable — for a clean shutdown
 			// on cancel, for the out-of-core drain on a trip.
 			if job.ctx != nil && job.ctx.Err() != nil {
 				break

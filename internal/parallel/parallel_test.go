@@ -144,7 +144,7 @@ func TestRecomputeCNParallel(t *testing.T) {
 	g := testGraph(67)
 	want := sequentialCliques(t, g, 2, 0)
 	col := &clique.Collector{}
-	if _, err := Enumerate(g, Options{Workers: 2, RecomputeCN: true, Reporter: col}); err != nil {
+	if _, err := Enumerate(g, Options{Workers: 2, Mode: core.CNRecompute, Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
@@ -314,20 +314,6 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if clique.Compare(got[i-1], got[i]) >= 0 {
 			t.Fatalf("order violated at %d: %v then %v", i, got[i-1], got[i])
-		}
-	}
-}
-
-func TestChunksPerWorkerOption(t *testing.T) {
-	g := testGraph(73)
-	want := sequentialCliques(t, g, 2, 0)
-	for _, cpw := range []int{1, 2, 64} {
-		res, err := Enumerate(g, Options{Workers: 3, ChunksPerWorker: cpw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MaximalCliques != int64(len(want)) {
-			t.Errorf("ChunksPerWorker=%d: count %d, want %d", cpw, res.MaximalCliques, len(want))
 		}
 	}
 }

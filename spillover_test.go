@@ -3,10 +3,12 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/membudget"
 )
 
 // TestHybridSpilloverParityAcrossRepresentations is the PR's acceptance
@@ -120,6 +122,47 @@ func TestMemoryBudgetEnforcedOnEveryInCoreBackend(t *testing.T) {
 			}
 			if st.PeakBytes == 0 {
 				t.Error("aborted run reported no PeakBytes")
+			}
+		})
+	}
+	// Under an external governor the abort is visible from outside: the
+	// observer saw the level that tripped, and the ledger is back at zero.
+	// 4 KiB trips on the first level before any sub-list is joined; 4 KiB
+	// under the unconstrained peak trips partway through that level, with
+	// a retained head of the next level to release.
+	solo := membudget.New(0)
+	if _, err := repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithGovernor(solo)).
+		Run(context.Background(), g, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		trip    string
+		budget  int64
+		workers int
+	}{
+		{"first", 4 << 10, 1}, {"first", 4 << 10, 2}, {"first", 4 << 10, 4},
+		{"mid", solo.Peak() - 4<<10, 1}, {"mid", solo.Peak() - 4<<10, 2}, {"mid", solo.Peak() - 4<<10, 4},
+	} {
+		t.Run(fmt.Sprintf("governor-%s-workers-%d", c.trip, c.workers), func(t *testing.T) {
+			workers := c.workers
+			gov := membudget.New(c.budget)
+			var levels []repro.LevelStats
+			_, err := repro.NewEnumerator(repro.WithWorkers(workers), repro.WithBounds(3, 0),
+				repro.WithGovernor(gov),
+				repro.WithOnLevel(func(ls repro.LevelStats) { levels = append(levels, ls) }),
+			).Run(context.Background(), g, nil)
+			if !errors.Is(err, repro.ErrMemoryBudget) {
+				t.Fatalf("error %v does not wrap ErrMemoryBudget", err)
+			}
+			if len(levels) == 0 {
+				t.Fatal("OnLevel never fired")
+			}
+			last := levels[len(levels)-1]
+			if want := fmt.Sprintf("level %d->%d", last.FromK, last.FromK+1); !strings.Contains(err.Error(), want) {
+				t.Errorf("OnLevel's last level is %d->%d, but the abort was %v", last.FromK, last.FromK+1, err)
+			}
+			if used := gov.Used(); used != 0 {
+				t.Errorf("governor holds %d bytes after the abort", used)
 			}
 		})
 	}
